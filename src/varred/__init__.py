@@ -18,7 +18,6 @@ from .linalg import (
     condition_number,
     random_orthogonal,
     spd_check,
-    sym_eigen,
     sym_matrix,
 )
 from .problems import (
@@ -37,6 +36,8 @@ from .elimination import (
     ReducedObjective,
     ScheduledInexactElimination,
     dense_schur_complement,
+    exact_map,
+    reduced_newton_operator,
 )
 from .optimizers import (
     ArmijoParams,
@@ -49,7 +50,6 @@ from .optimizers import (
     newton_eliminated,
     optimal_step_quadratic,
     pgd_inexact,
-    reduced_newton_operator,
 )
 
 __version__ = "0.1.0"

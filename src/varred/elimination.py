@@ -71,7 +71,7 @@ class QuadraticExactElimination(EliminationMap):
         self.cg_rel_tol = cg_rel_tol
         self.a11, self.a12, self.a21, self.a22, self.b1, self.b2 = problem.blocks(self.partition)
         self.cg_max_iter = cg_max_iter or max(500, 30 * self.partition.n_y)
-        self._a22_op = LinOp(dim=self.partition.n_y, apply=lambda v: self.a22 @ v)
+        self._a22_op = LinOp.from_matrix(self.a22)
         self._warm = np.zeros(self.partition.n_y)
         self.counters = WorkCounters()
 
@@ -80,25 +80,25 @@ class QuadraticExactElimination(EliminationMap):
         x = as_vector(x)
         if x.size != self.partition.n_x:
             raise DimensionMismatch("x has the wrong length for this partition")
-        rhs = self.b2 - self.a21 @ x
         start = self._warm if y0 is None else as_vector(y0)
-        result = cg_solve(self._a22_op, rhs, x0=start,
-                          rel_tol=tol if tol is not None else self.cg_rel_tol,
-                          max_iter=self.cg_max_iter)
+        result = self._a22_solve(self.b2 - self.a21 @ x, start, tol)
         self._warm = result.x.copy()
-        self.counters.inner_iterations += result.iterations
-        self.counters.linear_solves += 1
-        return EliminationResult(result.x, result.residual_norm,
-                                 result.iterations, 1)
+        return EliminationResult(result.x, result.residual_norm, result.iterations, 1)
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
         v = as_vector(v)
-        inner = cg_solve(self._a22_op, self.a21 @ v,
-                         rel_tol=self.cg_rel_tol, max_iter=self.cg_max_iter)
-        self.counters.inner_iterations += inner.iterations
+        return self.a11 @ v - self.a12 @ self._a22_solve(self.a21 @ v).x
+
+    def _a22_solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
+                   tol: float | None = None):
+        """One counted CG solve with A22."""
+        result = cg_solve(self._a22_op, rhs, x0=x0,
+                          rel_tol=tol if tol is not None else self.cg_rel_tol,
+                          max_iter=self.cg_max_iter)
+        self.counters.inner_iterations += result.iterations
         self.counters.linear_solves += 1
-        return self.a11 @ v - self.a12 @ inner.x
+        return result
 
 
 class NewtonElimination(EliminationMap):
@@ -142,43 +142,38 @@ class NewtonElimination(EliminationMap):
 
         g_y = self._residual(x, y)
         res = float(np.linalg.norm(g_y))
-        steps = 0
-        solves = 0
-        while res > tol:
-            if steps >= self.max_inner:
-                self.counters.inner_iterations += steps
-                self.counters.linear_solves += solves
-                raise NonConvergence(
-                    f"inner Newton stalled at residual {res:.3e} (tol {tol:.1e})",
-                    residual=res, iterations=steps)
-            z = self.partition.embed(x, y)
-            h_yy = self.objective.hess_yy_op(z, self.partition)
-            eta = self.cg_rel_tol if self.cg_rel_tol is not None else min(0.5, math.sqrt(res))
-            step = cg_solve(h_yy, -g_y, rel_tol=eta, max_iter=self.cg_max_iter).x
-            solves += 1
+        steps = solves = 0
+        try:
+            while res > tol:
+                if steps >= self.max_inner:
+                    raise NonConvergence(
+                        f"inner Newton stalled at residual {res:.3e} (tol {tol:.1e})",
+                        residual=res, iterations=steps)
+                z = self.partition.embed(x, y)
+                h_yy = self.objective.hess_yy_op(z, self.partition)
+                eta = self.cg_rel_tol if self.cg_rel_tol is not None else min(0.5, math.sqrt(res))
+                step = cg_solve(h_yy, -g_y, rel_tol=eta, max_iter=self.cg_max_iter).x
+                solves += 1
 
-            t = 1.0
-            accepted = False
-            for _ in range(self.damping_max_trials):
-                y_trial = y + t * step
-                g_trial = self._residual(x, y_trial)
-                res_trial = float(np.linalg.norm(g_trial))
-                if res_trial <= (1.0 - self.damping_c1 * t * (1.0 - eta)) * res:
-                    accepted = True
-                    break
-                t *= self.damping_shrink
-            if not accepted:
-                self.counters.inner_iterations += steps
-                self.counters.linear_solves += solves
-                raise NonConvergence(
-                    f"inner Newton damping failed at residual {res:.3e}",
-                    residual=res, iterations=steps)
-            y, g_y, res = y_trial, g_trial, res_trial
-            steps += 1
+                t = 1.0
+                for _ in range(self.damping_max_trials):
+                    y_trial = y + t * step
+                    g_trial = self._residual(x, y_trial)
+                    res_trial = float(np.linalg.norm(g_trial))
+                    if res_trial <= (1.0 - self.damping_c1 * t * (1.0 - eta)) * res:
+                        break
+                    t *= self.damping_shrink
+                else:
+                    raise NonConvergence(
+                        f"inner Newton damping failed at residual {res:.3e}",
+                        residual=res, iterations=steps)
+                y, g_y, res = y_trial, g_trial, res_trial
+                steps += 1
+        finally:
+            self.counters.inner_iterations += steps
+            self.counters.linear_solves += solves
 
         self._warm = y.copy()
-        self.counters.inner_iterations += steps
-        self.counters.linear_solves += solves
         return EliminationResult(y, res, steps, solves)
 
 
@@ -224,15 +219,13 @@ class GradientStepsElimination(EliminationMap):
             if res <= tol:
                 break
             gtd = -(res * res)
-            accepted = False
             for _ in range(self.max_trials):
                 y_trial = y + t * (-g_y)
                 v_trial, g_trial = val_grad(y_trial)
                 if v_trial <= v + self.c1 * t * gtd:
-                    accepted = True
                     break
                 t *= self.shrink
-            if not accepted:
+            else:
                 break
             y, v, g_y = y_trial, v_trial, g_trial
             res = float(np.linalg.norm(g_y))
@@ -253,8 +246,7 @@ class ScheduledInexactElimination(EliminationMap):
 
     def __init__(self, inner: EliminationMap, tol_init: float = 1e-3,
                  rho: float = 0.5, floor: float = 0.0):
-        if not 0.0 < rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
+        self.check_rho(rho)
         self.inner = inner
         self.partition = inner.partition
         self.tol_init = tol_init
@@ -262,6 +254,11 @@ class ScheduledInexactElimination(EliminationMap):
         self.floor = floor
         self.tol_current = tol_init
         self._warm = np.zeros(self.partition.n_y)
+
+    @staticmethod
+    def check_rho(rho: float):
+        if not 0.0 < rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
 
     @property
     def counters(self) -> WorkCounters:
@@ -287,25 +284,33 @@ class ScheduledInexactElimination(EliminationMap):
         self.tol_current = max(self.rho * self.tol_current, self.floor)
 
 
+def exact_map(objective: Objective, partition: BlockPartition,
+              inner_tol: float = 1e-10) -> EliminationMap:
+    """The exact elimination map for an objective: CG static condensation for
+    quadratics, damped Newton down to ``inner_tol`` otherwise."""
+    if isinstance(objective, QuadraticProblem):
+        return QuadraticExactElimination(objective, partition)
+    return NewtonElimination(objective, partition, inner_tol=inner_tol)
+
+
 class ReducedObjective:
-    """J~(x) = J(x, h(x)) with gradient grad_x J(x, h(x)).
+    """J~(x) = J(x, h(x)) with gradient grad_x J(x, h(x)); the one place that
+    knows how the reduced objective is evaluated.
 
     For exact maps the gradient is the true gradient of J~ (the cross term
     vanishes because grad_y J(x, h(x)) = 0); for inexact maps it is the
     tolerance-controlled descent direction.  The last evaluated point is
-    cached so a value/gradient pair at the same x costs one inner solve.
+    cached so a value/gradient pair at the same x costs one inner solve.  With
+    a :class:`ScheduledInexactElimination`, :meth:`accept` advances the
+    schedule after each accepted outer step and :meth:`settled` holds
+    convergence back until the inner residual reaches the schedule floor.
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
                  elim: EliminationMap | None = None):
         self.objective = objective
         self.partition = partition or objective.partition
-        if elim is None:
-            if isinstance(objective, QuadraticProblem):
-                elim = QuadraticExactElimination(objective, self.partition)
-            else:
-                elim = NewtonElimination(objective, self.partition)
-        self.elim = elim
+        self.elim = exact_map(objective, self.partition) if elim is None else elim
         self.n = self.partition.n_x
         self.fresh_solves = 0
         self._cache: tuple | None = None  # (x, y, value, grad_x, residual)
@@ -341,11 +346,39 @@ class ReducedObjective:
     def inner_residual(self, x: np.ndarray) -> float:
         return self._ensure(x)[4]
 
+    def accept(self, x: np.ndarray) -> bool:
+        """Register x as the next outer iterate.
+
+        A scheduled map takes h(x) as its warm start and tightens its
+        tolerance, which changes J~; the cached evaluation is then dropped and
+        True returned.  Other maps are left alone (False).
+        """
+        if not isinstance(self.elim, ScheduledInexactElimination):
+            return False
+        self.elim.accept(self.eliminated_point(x))
+        self._cache = None
+        return True
+
+    def settled(self, x: np.ndarray) -> bool:
+        """Whether the inner residual at x is down to the schedule floor, so
+        the inexact gradient is consistent with the outer tolerance.  Always
+        true for maps without a schedule."""
+        return (not isinstance(self.elim, ScheduledInexactElimination)
+                or self.inner_residual(x) <= self.elim.floor)
+
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """Reduced Hessian product (quadratic problems: the Schur complement)."""
-        if not hasattr(self.elim, "schur_hvp"):
+        if not isinstance(self.elim, QuadraticExactElimination):
             raise NotImplementedError("matrix-free reduced Hessian requires an exact quadratic map")
         return self.elim.schur_hvp(v)
+
+    def hessian_op(self, x: np.ndarray, lin_rel_tol: float = DEFAULT_CG_TOL) -> LinOp:
+        """Reduced Hessian at x as an operator: the Schur complement for exact
+        quadratic maps, otherwise :func:`reduced_newton_operator` at (x, h(x))."""
+        if isinstance(self.elim, QuadraticExactElimination):
+            return LinOp(dim=self.n, apply=self.elim.schur_hvp)
+        z = self.partition.embed(x, self.eliminated_point(x))
+        return reduced_newton_operator(self.objective, self.partition, z, lin_rel_tol)
 
     def curvature_along(self, x: np.ndarray, d: np.ndarray) -> float:
         """Curvature of the retained block at the incumbent eliminated point.
@@ -353,12 +386,26 @@ class ReducedObjective:
         Uses d' grad_xx J d, an upper bound for the reduced (Schur) curvature,
         so steps scaled by its inverse never overshoot the reduced scale.
         """
-        c = self._ensure(x)
-        z = self.partition.embed(x, c[1])
-        lifted = self.partition.lift_x(d)
-        h_lifted = self.objective.hessian_vec(z, lifted)
-        nd2 = float(d @ d)
-        return float(d @ h_lifted[self.partition.x_indices]) / nd2
+        z = self.partition.embed(x, self.eliminated_point(x))
+        h_lifted = self.objective.hessian_vec(z, self.partition.lift_x(d))
+        return float(d @ h_lifted[self.partition.x_indices]) / float(d @ d)
+
+
+def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray,
+                            lin_rel_tol: float = DEFAULT_CG_TOL) -> LinOp:
+    """Matrix-free reduced Jacobian at z = (x, h(x)):
+
+        v -> grad_xx J v - grad_yx J (grad_yy J)^{-1} grad_xy J v,
+
+    with one y-block CG solve per application."""
+    h_yy = obj.hess_yy_op(z, part)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        hv = obj.hessian_vec(z, part.lift_x(v))
+        s = cg_solve(h_yy, hv[part.y_indices], rel_tol=lin_rel_tol).x
+        return hv[part.x_indices] - obj.hessian_vec(z, part.lift_y(s))[part.x_indices]
+
+    return LinOp(dim=part.n_x, apply=apply)
 
 
 def dense_schur_complement(problem: QuadraticProblem,

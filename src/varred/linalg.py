@@ -1,5 +1,5 @@
-"""Minimal dense linear algebra: matrix-free CG, a cyclic Jacobi eigensolver,
-random orthogonal matrices and SPD utilities.
+"""Minimal dense linear algebra: matrix-free CG, condition numbers, random
+orthogonal matrices and SPD utilities.
 
 Vectors are plain 1-D float64 numpy arrays and symmetric matrices are square
 float64 arrays kept exactly symmetric by construction (``sym_matrix``).
@@ -133,72 +133,9 @@ def cg_solve(
     )
 
 
-def sym_eigen(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues ascending, eigenvectors)`` with eigenvectors in the
-    columns of an orthogonal matrix.  Adequate at desk scale; raises
-    :class:`NonConvergence` if ``max_sweeps`` cyclic sweeps do not reduce the
-    off-diagonal mass below the termination threshold.
-    """
-    a = sym_matrix(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0].copy(), v
-
-    frob = float(np.linalg.norm(a))
-    if frob == 0.0:
-        return np.zeros(n), v
-    off_tol = 1e-13 * frob
-    # rotating pairs below this threshold cannot move the off-norm meaningfully
-    skip = off_tol / n
-
-    off_mask = ~np.eye(n, dtype=bool)
-    for sweep in range(max_sweeps + 1):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= off_tol:
-            order = np.argsort(np.diag(a), kind="stable")
-            return np.diag(a)[order].copy(), v[:, order]
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                # the 2x2 block has a closed form; avoids cancellation
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise NonConvergence(
-        f"Jacobi eigensolver: off-diagonal norm {off:.3e} after {max_sweeps} sweeps",
-        residual=off,
-        iterations=max_sweeps,
-    )
-
-
 def condition_number(m: np.ndarray) -> float:
     """Spectral condition number lambda_max / lambda_min of an SPD matrix."""
-    eigvals, _ = sym_eigen(m)
+    eigvals = np.linalg.eigvalsh(sym_matrix(m))
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     if lo <= 0.0:
         raise NotSPD(f"smallest eigenvalue {lo:.3e} is not positive")

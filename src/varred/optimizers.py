@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import DegenerateCurvature, LineSearchFailure, MaxIterReached
 from .elimination import (
     EliminationMap,
-    NewtonElimination,
-    QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
     WorkCounters,
+    exact_map,
 )
 from .linalg import as_vector
-from .problems import BlockPartition, Objective, QuadraticProblem
+from .problems import BlockPartition, Objective
 
 
 @dataclass
@@ -109,35 +109,38 @@ class ConvergenceRecord:
         return np.array([r.grad_norm for r in self.rows])
 
 
-def _counters_of(obj) -> tuple[int, int]:
-    counters = getattr(obj, "counters", None)
-    if isinstance(counters, WorkCounters):
-        return counters.snapshot()
-    return (0, 0)
-
-
 class _Recorder:
-    """Accumulates record rows, tracking inner-work deltas and wall time."""
+    """Accumulates record rows from row 0 at (fval0, grad_norm0, x0) on,
+    tracking wall time and the inner-work deltas of the given counters (none
+    for full-space methods)."""
 
-    def __init__(self, obj, keep_iterates: bool):
+    def __init__(self, counters: tuple[WorkCounters, ...], keep_iterates: bool,
+                 fval0: float, grad_norm0: float, x0: np.ndarray):
         self.record = ConvergenceRecord(iterates=[] if keep_iterates else None)
-        self._obj = obj
+        self._counters = counters
         self._start = time.perf_counter()
-        self._last_inner, _ = _counters_of(obj)
-        self._g0 = None
+        self._last_inner, _ = self._work()
+        self._g0 = grad_norm0
+        self.add(0, fval0, grad_norm0, 0.0, x0)
 
-    def add(self, k: int, fval: float, grad_norm: float, step: float, x=None):
-        if self._g0 is None:
-            self._g0 = grad_norm
+    def _work(self) -> tuple[int, int]:
+        inner = solves = 0
+        for counters in self._counters:
+            i, s = counters.snapshot()
+            inner += i
+            solves += s
+        return inner, solves
+
+    def add(self, k: int, fval: float, grad_norm: float, step: float, x: np.ndarray):
         rel = 1.0 if k == 0 else (grad_norm / self._g0 if self._g0 > 0.0 else 0.0)
-        inner, solves = _counters_of(self._obj)
+        inner, solves = self._work()
         self.record.rows.append(RecordRow(
             iteration=k, fval=fval, grad_norm=grad_norm, rel_grad_norm=rel,
             step=step, inner_iters=inner - self._last_inner,
             cum_linear_solves=solves,
             elapsed_s=time.perf_counter() - self._start))
         self._last_inner = inner
-        if self.record.iterates is not None and x is not None:
+        if self.record.iterates is not None:
             self.record.iterates.append(np.array(x, copy=True))
 
 
@@ -180,12 +183,85 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
         last_step=t / p.shrink, last_value=last_val)
 
 
-def _initial_trial(obj, x: np.ndarray, d: np.ndarray, p: ArmijoParams) -> float:
-    if p.curvature_scaled_init and hasattr(obj, "curvature_along"):
-        lam = obj.curvature_along(x, d)
-        if lam > 0.0:
-            return p.t0 / lam
-    return p.t0
+# The outer loop takes a direction rule, (x, g) -> d, and a step rule,
+# (x, d, g, J(x)) -> (t, J(x + t d)), or (t, None) when the rule never
+# evaluated J at x + t d.  Rules look ``armijo_search``,
+# ``optimal_step_quadratic`` and ``linalg.cg_solve`` up at call time, once
+# per outer iteration, so instrumentation that replaces those names sees
+# every call.
+
+def _steepest(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return -g
+
+
+def _newton_direction(reduced: ReducedObjective, lin_rel_tol: float):
+    """Reduced Newton step: CG on the reduced Hessian at ``lin_rel_tol``."""
+    def direction(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return linalg.cg_solve(reduced.hessian_op(x, lin_rel_tol), -g, rel_tol=lin_rel_tol).x
+    return direction
+
+
+def _optimal_step(obj):
+    """Closed-form quadratic step along -g through the objective's Hessian product."""
+    hvp = obj.hvp if isinstance(obj, ReducedObjective) else None
+
+    def step(x, d, g, val):
+        return optimal_step_quadratic(g, hvp or (lambda v: obj.hessian_vec(x, v))), None
+    return step
+
+
+def _armijo_step(obj, p: ArmijoParams, t_first: float | None = None):
+    """Backtracking on ``obj.value``.  Every search starts from ``t_first`` if
+    given; otherwise the first starts from t0 / (curvature along d) (see
+    :class:`ArmijoParams`) and later ones from the previously accepted step."""
+    t_next = t_first
+
+    def step(x, d, g, val):
+        nonlocal t_next
+        t0 = t_next
+        if t0 is None:
+            lam = obj.curvature_along(x, d) if p.curvature_scaled_init else 0.0
+            t0 = p.t0 / lam if lam > 0.0 else p.t0
+        t, val, _ = armijo_search(obj.value, x, d, g, p, t0=t0, f_x=val)
+        if t_first is None:
+            t_next = t
+        return t, val
+    return step
+
+
+def _descend(obj, x: np.ndarray, stop: StopRule, direction, step,
+             keep_iterates: bool, name: str) -> tuple[np.ndarray, ConvergenceRecord]:
+    """The one outer descent loop, x <- x + t d, on a full-space objective or
+    a :class:`ReducedObjective`.
+
+    A reduced objective is told of each accepted iterate (a scheduled map then
+    re-evaluates J~ there) and must be settled before the run converges.
+    Raises :class:`MaxIterReached` (record attached) when the budget runs out.
+    """
+    reduced = obj if isinstance(obj, ReducedObjective) else None
+    val, g = obj.evaluate(x)
+    g_norm = g0 = float(np.linalg.norm(g))
+    rec = _Recorder(() if reduced is None else (reduced.counters,), keep_iterates,
+                    val, g_norm, x)
+    k = 0
+    while not (stop.met(g_norm, g0) and (reduced is None or reduced.settled(x))):
+        if k == stop.max_iter:
+            raise MaxIterReached(
+                f"{name}: no convergence within {stop.max_iter} iterations "
+                f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
+        k += 1
+        d = direction(x, g)
+        t, val = step(x, d, g, val)
+        x = x + t * d
+        if reduced is not None and reduced.accept(x):
+            val = None
+        if val is None:
+            val, g = obj.evaluate(x)
+        else:
+            g = obj.gradient(x)
+        g_norm = float(np.linalg.norm(g))
+        rec.add(k, val, g_norm, t, x)
+    return x, rec.record
 
 
 def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
@@ -200,46 +276,14 @@ def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
     the right-preconditioned method.  Raises :class:`MaxIterReached` (record
     attached) when the budget runs out.
     """
-    if step_mode not in ("armijo", "optimal_quadratic"):
-        raise ValueError(f"unknown step_mode {step_mode!r}")
-    armijo = armijo or ArmijoParams()
-    x = as_vector(x0).copy()
-    val, g = obj.evaluate(x)
-    g_norm = float(np.linalg.norm(g))
-    g0 = g_norm
-
-    rec = _Recorder(obj, keep_iterates)
-    rec.add(0, val, g_norm, 0.0, x)
-
     if step_mode == "optimal_quadratic":
-        if hasattr(obj, "hvp"):
-            hvp = obj.hvp
-        else:
-            hvp = lambda v: obj.hessian_vec(x, v)
-
-    t_prev: float | None = None
-    for k in range(1, stop.max_iter + 1):
-        if stop.met(g_norm, g0):
-            return x, rec.record
-        d = -g
-        if step_mode == "optimal_quadratic":
-            t = optimal_step_quadratic(g, hvp)
-            x = x + t * d
-            val, g = obj.evaluate(x)
-        else:
-            t_init = _initial_trial(obj, x, d, armijo) if t_prev is None else t_prev
-            t, val, _ = armijo_search(obj.value, x, d, g, armijo, t0=t_init, f_x=val)
-            t_prev = t
-            x = x + t * d
-            g = obj.gradient(x)
-        g_norm = float(np.linalg.norm(g))
-        rec.add(k, val, g_norm, t, x)
-
-    if stop.met(g_norm, g0):
-        return x, rec.record
-    raise MaxIterReached(
-        f"no convergence within {stop.max_iter} iterations "
-        f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
+        step = _optimal_step(obj)
+    elif step_mode == "armijo":
+        step = _armijo_step(obj, armijo or ArmijoParams())
+    else:
+        raise ValueError(f"unknown step_mode {step_mode!r}")
+    return _descend(obj, as_vector(x0).copy(), stop, _steepest, step, keep_iterates,
+                    "gradient descent")
 
 
 def pgd_inexact(obj: Objective, part: BlockPartition,
@@ -257,86 +301,15 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     the descent direction's inexactness is consistent with the outer
     tolerance.
     """
-    p = p or ArmijoParams()
-    x = as_vector(x0).copy()
     elim.reset(as_vector(y0))
     if elim.floor <= 0.0:
         # inner residual floor two decades below the outer relative tolerance
         elim.floor = 1e-2 * stop.rel_grad_tol
-
-    state: dict = {}
-
-    def eval_at(xx: np.ndarray) -> float:
-        result = elim.solve(xx)
-        z = part.embed(xx, result.y)
-        val, g_full = obj.evaluate(z)
-        state["trial"] = (val, g_full[part.x_indices], result)
-        return val
-
-    val = eval_at(x)
-    _, gx, result = state["trial"]
-    g_norm = float(np.linalg.norm(gx))
-    g0 = g_norm
-    y = result.y
-
-    rec = _Recorder(elim, keep_iterates)
-    rec.add(0, val, g_norm, 0.0, x)
-
-    lifted_curv = _LiftedCurvature(obj, part)
-    t_prev: float | None = None
-    for k in range(1, stop.max_iter + 1):
-        if stop.met(g_norm, g0) and result.residual <= elim.floor:
-            return x, y, rec.record
-        d = -gx
-        if t_prev is None:
-            lam = lifted_curv(part.embed(x, y), d)
-            t_init = p.t0 / lam if (p.curvature_scaled_init and lam > 0.0) else p.t0
-        else:
-            t_init = t_prev
-        t, _, _ = armijo_search(eval_at, x, d, gx, p, t0=t_init, f_x=val)
-        t_prev = t
-        x = x + t * d
-        _, _, trial_result = state["trial"]
-        elim.accept(trial_result.y)
-        # re-evaluate at the shrunken tolerance; warm start makes this cheap
-        val = eval_at(x)
-        _, gx, result = state["trial"]
-        y = result.y
-        g_norm = float(np.linalg.norm(gx))
-        rec.add(k, val, g_norm, t, x)
-
-    if stop.met(g_norm, g0) and result.residual <= elim.floor:
-        return x, y, rec.record
-    raise MaxIterReached(
-        f"inexact PGD: no convergence within {stop.max_iter} iterations", record=rec.record)
-
-
-class _LiftedCurvature:
-    """Curvature of the retained block: d' grad_xx J(z) d / d'd."""
-
-    def __init__(self, obj: Objective, part: BlockPartition):
-        self.obj = obj
-        self.part = part
-
-    def __call__(self, z: np.ndarray, d: np.ndarray) -> float:
-        lifted = self.part.lift_x(d)
-        h = self.obj.hessian_vec(z, lifted)
-        return float(d @ h[self.part.x_indices]) / float(d @ d)
-
-
-def default_block_solvers(obj: Objective, part: BlockPartition,
-                          tol: float = 1e-10) -> tuple[EliminationMap, EliminationMap]:
-    """(x-block, y-block) minimizers for alternating minimization.
-
-    Quadratic problems get exact CG block solves; anything else gets the
-    damped Newton inner solver.  The x-block solver works on the swapped
-    partition (its \"eliminated\" block is x).
-    """
-    if isinstance(obj, QuadraticProblem):
-        return (QuadraticExactElimination(obj, part.swapped()),
-                QuadraticExactElimination(obj, part))
-    return (NewtonElimination(obj, part.swapped(), inner_tol=tol),
-            NewtonElimination(obj, part, inner_tol=tol))
+    reduced = ReducedObjective(obj, part, elim)
+    x, record = _descend(reduced, as_vector(x0).copy(), stop, _steepest,
+                         _armijo_step(reduced, p or ArmijoParams()), keep_iterates,
+                         "inexact PGD")
+    return x, reduced.eliminated_point(x), record
 
 
 def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarray,
@@ -348,38 +321,25 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
 
     One iteration is a full sweep (x update, then y update); the objective is
     non-increasing at every half sweep by construction of the block solvers.
-    Stops on the relative full-gradient norm.
+    Stops on the relative full-gradient norm.  Block solvers default to
+    :func:`~varred.elimination.exact_map`; the x-block solver works on the
+    swapped partition (its "eliminated" block is x).
     """
-    if x_solver is None or y_solver is None:
-        xs, ys = default_block_solvers(obj, part)
-        x_solver = x_solver or xs
-        y_solver = y_solver or ys
+    x_solver = exact_map(obj, part.swapped()) if x_solver is None else x_solver
+    y_solver = exact_map(obj, part) if y_solver is None else y_solver
 
     z = as_vector(z0).copy()
     val, g = obj.evaluate(z)
-    g_norm = float(np.linalg.norm(g))
-    g0 = g_norm
-
-    class _Work:
-        def __init__(self):
-            self.counters = WorkCounters()
-
-    work = _Work()
-
-    def _sync_counters():
-        work.counters.inner_iterations = (x_solver.counters.inner_iterations
-                                          + y_solver.counters.inner_iterations)
-        work.counters.linear_solves = (x_solver.counters.linear_solves
-                                       + y_solver.counters.linear_solves)
-
-    _sync_counters()
-    rec = _Recorder(work, keep_iterates)
-    rec.add(0, val, g_norm, 0.0, z)
+    g_norm = g0 = float(np.linalg.norm(g))
+    rec = _Recorder((x_solver.counters, y_solver.counters), keep_iterates, val, g_norm, z)
     rec.record.half_sweep_values = [val]
-
-    for k in range(1, stop.max_iter + 1):
-        if stop.met(g_norm, g0):
-            return z, rec.record
+    k = 0
+    while not stop.met(g_norm, g0):
+        if k == stop.max_iter:
+            raise MaxIterReached(
+                f"alternating minimization: no convergence within {stop.max_iter} sweeps",
+                record=rec.record)
+        k += 1
         x_cur, y_cur = part.split(z)
         # x update: minimize over x with y fixed (swapped partition)
         res_x = x_solver.solve(y_cur, y0=x_cur)
@@ -391,33 +351,8 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
         val, g = obj.evaluate(z)
         rec.record.half_sweep_values.append(val)
         g_norm = float(np.linalg.norm(g))
-        _sync_counters()
         rec.add(k, val, g_norm, 1.0, z)
-
-    if stop.met(g_norm, g0):
-        return z, rec.record
-    raise MaxIterReached(
-        f"alternating minimization: no convergence within {stop.max_iter} sweeps",
-        record=rec.record)
-
-
-def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray,
-                            lin_rel_tol: float = 1e-12):
-    """Matrix-free reduced Jacobian at z = (x, h(x)):
-
-        v -> grad_xx J v - grad_yx J (grad_yy J)^{-1} grad_xy J v,
-
-    with one y-block CG solve per application."""
-    from .linalg import LinOp, cg_solve
-
-    h_yy = obj.hess_yy_op(z, part)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        hv = obj.hessian_vec(z, part.lift_x(v))
-        s = cg_solve(h_yy, hv[part.y_indices], rel_tol=lin_rel_tol).x
-        return hv[part.x_indices] - obj.hessian_vec(z, part.lift_y(s))[part.x_indices]
-
-    return LinOp(dim=part.n_x, apply=apply)
+    return z, rec.record
 
 
 def newton_eliminated(obj: Objective, part: BlockPartition,
@@ -430,49 +365,20 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
     """Newton iteration on the reduced optimality system F~(x) = grad_x J(x, h(x)).
 
     The reduced Jacobian grad_xx J - grad_yx J (grad_yy J)^{-1} grad_xy J is
-    applied matrix-free (one y-block CG solve per application) and each Newton
+    applied matrix-free (:meth:`ReducedObjective.hessian_op`) and each Newton
     system is solved by CG at ``lin_rel_tol``; steps are damped by Armijo on
     the reduced objective from a unit trial step.
     """
-    from .linalg import LinOp, cg_solve  # local import keeps module load light
-
-    stop = stop or StopRule()
-    p = p or ArmijoParams()
     reduced = ReducedObjective(obj, part, elim)
-    part = reduced.partition
-    x = as_vector(x0).copy() if x0 is not None else np.zeros(part.n_x)
-
-    val, g = reduced.evaluate(x)
-    g_norm = float(np.linalg.norm(g))
-    g0 = g_norm
-    rec = _Recorder(reduced, keep_iterates)
-    rec.add(0, val, g_norm, 0.0, x)
-
-    for k in range(1, stop.max_iter + 1):
-        if stop.met(g_norm, g0):
-            return x, rec.record
-        if hasattr(reduced.elim, "schur_hvp"):
-            jf_op = LinOp(dim=part.n_x, apply=reduced.elim.schur_hvp)
-        else:
-            z_inc = part.embed(x, reduced.eliminated_point(x))
-            jf_op = reduced_newton_operator(obj, part, z_inc, lin_rel_tol)
-        delta = cg_solve(jf_op, -g, rel_tol=lin_rel_tol).x
-        t, val, _ = armijo_search(reduced.value, x, delta, g, p, t0=1.0, f_x=val)
-        x = x + t * delta
-        g = reduced.gradient(x)
-        g_norm = float(np.linalg.norm(g))
-        rec.add(k, val, g_norm, t, x)
-
-    if stop.met(g_norm, g0):
-        return x, rec.record
-    raise MaxIterReached(
-        f"Newton with elimination: no convergence within {stop.max_iter} iterations",
-        record=rec.record)
+    x = as_vector(x0).copy() if x0 is not None else np.zeros(reduced.partition.n_x)
+    return _descend(reduced, x, stop or StopRule(), _newton_direction(reduced, lin_rel_tol),
+                    _armijo_step(reduced, p or ArmijoParams(), t_first=1.0), keep_iterates,
+                    "Newton with elimination")
 
 
 def check_rate_bound(record: ConvergenceRecord | None, kappa: float,
                      x_star: np.ndarray, iterates: list[np.ndarray]) -> bool:
-    """Iterate-wise bound ||x_k - x*|| <= sqrt(k) ((k-1)/(k+1))^k ||x_0 - x*||.
+    """Iterate-wise bound ||x_k - x*|| <= sqrt(kappa) ((kappa-1)/(kappa+1))^k ||x_0 - x*||.
 
     Checked with multiplicative slack 1 + 1e-8 plus a roundoff floor of
     1e-13 ||x_0 - x*|| so exactly-converging runs (kappa = 1) are not failed

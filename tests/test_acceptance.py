@@ -1,7 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the PASS lines and
-the reported (never asserted) wall-clock timings.
+the wall-clock timings.  Timings are reported everywhere and asserted only as
+generous ceilings: criterion 1 (the quadratic runs) within 10 s and criterion 4
+(the log-sum-exp runs) within 30 s.
 """
 
 import time
@@ -18,7 +20,7 @@ from varred.elimination import (
     dense_schur_complement,
 )
 from varred.errors import MaxIterReached
-from varred.linalg import LinOp, cg_solve, sym_eigen, sym_matrix
+from varred.linalg import LinOp, cg_solve, sym_matrix
 from varred.optimizers import (
     StopRule,
     alternating_minimization,
@@ -170,8 +172,8 @@ def test_criterion_6_schur_conditioning_suite():
         part = BlockPartition(n, np.sort(perm[:k]), np.sort(perm[k:]))
         problem = QuadraticProblem(a, rng.standard_normal(n), 0.0, part)
         s, _, _ = dense_schur_complement(problem, part)
-        ev_a, _ = sym_eigen(a)
-        ev_s, _ = sym_eigen(s)
+        ev_a = np.linalg.eigvalsh(a)
+        ev_s = np.linalg.eigvalsh(s)
         ok &= ev_a[0] <= ev_s[0] + 1e-9
         ok &= ev_s[-1] <= ev_a[-1] + 1e-9
         worst_gap = max(worst_gap, ev_a[0] - ev_s[0], ev_s[-1] - ev_a[-1])
@@ -196,13 +198,13 @@ def test_criterion_7_rate_bounds():
         z_star = cg_solve(LinOp.from_matrix(problem.a), problem.b, rel_tol=1e-14).x
         _, rec_gd = gradient_descent(problem, np.zeros(n_x + n_y), STOP,
                                      step_mode="optimal_quadratic", keep_iterates=True)
-        ev_a, _ = sym_eigen(problem.a)
+        ev_a = np.linalg.eigvalsh(problem.a)
         ok_gd = check_rate_bound(rec_gd, ev_a[-1] / ev_a[0], z_star, rec_gd.iterates)
         reduced = ReducedObjective(problem)
         _, rec_pgd = gradient_descent(reduced, np.zeros(n_x), STOP,
                                       step_mode="optimal_quadratic", keep_iterates=True)
         s, _, _ = dense_schur_complement(problem)
-        ev_s, _ = sym_eigen(s)
+        ev_s = np.linalg.eigvalsh(s)
         ok_pgd = check_rate_bound(rec_pgd, ev_s[-1] / ev_s[0], z_star[:n_x], rec_pgd.iterates)
         ok &= ok_gd and ok_pgd
         details.append(f"seed{seed}: GD({rec_gd.iterations}it){'+' if ok_gd else '-'}"

@@ -234,11 +234,26 @@ class TestCLI:
                      "--out", str(tmp_path / "o")]) == 0
         assert "gd" in capsys.readouterr().out
 
+    BAD_CONFIGS = {
+        "unknown kind": "[problem]\nkind = cubic\n",
+        "c1 = 2": "[armijo]\nc1 = 2\n",
+        "shrink = 1.5": "[armijo]\nshrink = 1.5\n",
+        "rel_grad_tol = 0": "[stop]\nrel_grad_tol = 0\n",
+        "rho = 1.5": "[inexact]\nrho = 1.5\n",
+        "optimal step on logsumexp":
+            "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n[method]\nstep_mode = optimal\n",
+        "scope beyond the block": "[problem]\nn_y = 60\n[method]\neliminate = last:100\n",
+        "empty block": "[problem]\nn_x = 0\n",
+        "reversed spectrum": "[problem]\nspec_x_lo = 5\nspec_x_hi = 1\n",
+    }
+
     def test_config_error_exit_three(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
-        path.write_text("[problem]\nkind = cubic\n")
-        assert main(["run", "--config", str(path)]) == 3
-        assert "config error" in capsys.readouterr().err
+        for case, text in self.BAD_CONFIGS.items():
+            path.write_text(text + f"[output]\ndir = {tmp_path / 'o'}\n")
+            assert main(["run", "--config", str(path)]) == 3, case
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and len(err.splitlines()) == 1, case
 
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 3

@@ -10,7 +10,6 @@ from varred.linalg import (
     condition_number,
     random_orthogonal,
     spd_check,
-    sym_eigen,
     sym_matrix,
 )
 
@@ -84,48 +83,16 @@ class TestLinOp:
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
 
 
-class TestSymEigen:
-    def test_diagonal(self):
-        w, v = sym_eigen(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
-
-    def test_2x2_by_characteristic_polynomial(self):
-        w, _ = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [1.0, 3.0], rtol=1e-12)
-
-    def test_identity(self):
-        w, v = sym_eigen(np.eye(4))
-        np.testing.assert_allclose(w, np.ones(4), atol=1e-14)
-        np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
-
-    def test_reconstruction_100_random_matrices(self):
-        # orders up to 50, relative Frobenius reconstruction <= 1e-6
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 51))
-            m = rng.standard_normal((n, n))
-            m = sym_matrix(m)
-            w, v = sym_eigen(m)
-            frob = np.linalg.norm(m)
-            assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-6 * frob
-            # eigenpair residual and orthogonality
-            assert np.linalg.norm(m @ v - v * w, axis=0).max() <= 1e-8 * frob
-            assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-8
-            assert np.all(np.diff(w) >= -1e-12 * frob)
-
-    def test_sweep_budget_exhaustion(self):
-        m = sym_matrix(np.random.default_rng(0).standard_normal((6, 6)))
-        with pytest.raises(NonConvergence):
-            sym_eigen(m, max_sweeps=0)
-
-
 class TestConditionNumber:
     def test_identity(self):
         assert condition_number(np.eye(10)) == pytest.approx(1.0, abs=1e-12)
 
     def test_equispaced_diagonal(self):
         assert condition_number(np.diag(np.linspace(10.0, 1.0, 10))) == pytest.approx(10.0, rel=1e-10)
+
+    def test_2x2_by_characteristic_polynomial(self):
+        # eigenvalues of [[2, 1], [1, 2]] are the roots 1 and 3 of (2 - l)^2 - 1
+        assert condition_number(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0, rel=1e-12)
 
     def test_ratio_of_extremes(self):
         assert condition_number(np.diag([1000.0, 1.0])) == pytest.approx(1000.0, rel=1e-10)
