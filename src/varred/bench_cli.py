@@ -120,9 +120,11 @@ class ExperimentConfig:
                 raise ConfigError("elimination scope n_r must be >= 1")
         if self.step_mode == "optimal" and self.method == "pgd-exact" and self.kind != "quadratic":
             raise ConfigError("method.step_mode = optimal with pgd-exact needs a quadratic problem")
-        for name in ("tol_init", "coupling_eps", "inner_tol"):
+        for name in ("tol_init", "coupling_eps"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if not self.inner_tol > 0:
+            raise ConfigError("method.inner_tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("stop.max_iter must be >= 1")
         if self.inner not in ("newton", "gd-fixed"):

@@ -44,8 +44,8 @@ class EliminationResult:
 class EliminationMap:
     """Base class: produce y from x with a reported inner residual.
 
-    Consistency contract: if the warm start already meets the active
-    tolerance, it is returned unchanged with zero inner iterations.
+    Consistency contract of iterative maps: if the warm start already meets
+    the active tolerance, it is returned unchanged with zero inner iterations.
     """
 
     partition: BlockPartition
@@ -57,48 +57,40 @@ class EliminationMap:
 
 
 class QuadraticExactElimination(EliminationMap):
-    """Static condensation for a quadratic problem: solve A22 y = b2 - A21 x.
+    """Static condensation for a quadratic problem: h(x) = A22^{-1}(b2 - A21 x).
 
-    The block system is solved matrix-free by CG at ``cg_rel_tol`` (defaults
-    far below the outer tolerances), so each evaluation of h costs exactly one
-    linear solve.  The previous y is kept as the CG warm start.
+    A22 never changes, so the constructor makes one dense solve against
+    [A21 | b2] and keeps W = A22^{-1} A21, u = A22^{-1} b2 and the reduced
+    quadratic J~(x) = x'Sx / 2 + b~'x + c~ with S = A11 - A12 W (symmetrised),
+    b~ = A12 u - b1 and c~ = c - b2'u / 2.  Then h(x) = u - W x and a Schur
+    product is S v.  The map does no iterative work, so its counters stay at
+    zero; ``y0`` and ``tol`` are ignored.
     """
 
-    def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None,
-                 cg_rel_tol: float = DEFAULT_CG_TOL, cg_max_iter: int | None = None):
-        self.problem = problem
+    def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
         self.partition = partition or problem.partition
-        self.cg_rel_tol = cg_rel_tol
-        self.a11, self.a12, self.a21, self.a22, self.b1, self.b2 = problem.blocks(self.partition)
-        self.cg_max_iter = cg_max_iter or max(500, 30 * self.partition.n_y)
-        self._a22_op = LinOp.from_matrix(self.a22)
-        self._warm = np.zeros(self.partition.n_y)
+        a11, a12, self.a21, self.a22, b1, self.b2 = problem.blocks(self.partition)
+        w_u = np.linalg.solve(self.a22, np.column_stack([self.a21, self.b2]))
+        self.w, self.u = w_u[:, :-1], w_u[:, -1]
+        s = a11 - a12 @ self.w
+        self.s = 0.5 * (s + s.T)
+        self.b_tilde = a12 @ self.u - b1
+        self.c_tilde = problem.c - 0.5 * float(self.b2 @ self.u)
         self.counters = WorkCounters()
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
+        """y = u - W x, reported with its true residual ||A22 y - (b2 - A21 x)||."""
         x = as_vector(x)
         if x.size != self.partition.n_x:
             raise DimensionMismatch("x has the wrong length for this partition")
-        start = self._warm if y0 is None else as_vector(y0)
-        result = self._a22_solve(self.b2 - self.a21 @ x, start, tol)
-        self._warm = result.x.copy()
-        return EliminationResult(result.x, result.residual_norm, result.iterations, 1)
+        y = self.u - self.w @ x
+        residual = float(np.linalg.norm(self.a22 @ y - (self.b2 - self.a21 @ x)))
+        return EliminationResult(y, residual, 0, 0)
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-free Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
-        v = as_vector(v)
-        return self.a11 @ v - self.a12 @ self._a22_solve(self.a21 @ v).x
-
-    def _a22_solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
-                   tol: float | None = None):
-        """One counted CG solve with A22."""
-        result = cg_solve(self._a22_op, rhs, x0=x0,
-                          rel_tol=tol if tol is not None else self.cg_rel_tol,
-                          max_iter=self.cg_max_iter)
-        self.counters.inner_iterations += result.iterations
-        self.counters.linear_solves += 1
-        return result
+        """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
+        return self.s @ as_vector(v)
 
 
 class NewtonElimination(EliminationMap):
@@ -286,8 +278,8 @@ class ScheduledInexactElimination(EliminationMap):
 
 def exact_map(objective: Objective, partition: BlockPartition,
               inner_tol: float = 1e-10) -> EliminationMap:
-    """The exact elimination map for an objective: CG static condensation for
-    quadratics, damped Newton down to ``inner_tol`` otherwise."""
+    """The exact elimination map for an objective: direct static condensation
+    for quadratics, damped Newton down to ``inner_tol`` otherwise."""
     if isinstance(objective, QuadraticProblem):
         return QuadraticExactElimination(objective, partition)
     return NewtonElimination(objective, partition, inner_tol=inner_tol)
@@ -320,9 +312,10 @@ class ReducedObjective:
         return self.elim.counters
 
     def _ensure(self, x: np.ndarray) -> tuple:
-        x = as_vector(x)
+        # a cache hit needs no validation: only checked, finite x are cached
         if self._cache is not None and np.array_equal(self._cache[0], x):
             return self._cache
+        x = as_vector(x)
         result = self.elim.solve(x)
         z = self.partition.embed(x, result.y)
         val, g = self.objective.evaluate(z)
@@ -367,14 +360,16 @@ class ReducedObjective:
                 or self.inner_residual(x) <= self.elim.floor)
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
-        """Reduced Hessian product (quadratic problems: the Schur complement)."""
+        """Reduced Hessian product S v with the Schur complement S that an
+        exact quadratic map assembled at construction."""
         if not isinstance(self.elim, QuadraticExactElimination):
             raise NotImplementedError("matrix-free reduced Hessian requires an exact quadratic map")
         return self.elim.schur_hvp(v)
 
     def hessian_op(self, x: np.ndarray, lin_rel_tol: float = DEFAULT_CG_TOL) -> LinOp:
-        """Reduced Hessian at x as an operator: the Schur complement for exact
-        quadratic maps, otherwise :func:`reduced_newton_operator` at (x, h(x))."""
+        """Reduced Hessian at x as an operator: the assembled Schur complement
+        for exact quadratic maps, otherwise :func:`reduced_newton_operator`
+        at (x, h(x))."""
         if isinstance(self.elim, QuadraticExactElimination):
             return LinOp(dim=self.n, apply=self.elim.schur_hvp)
         z = self.partition.embed(x, self.eliminated_point(x))
@@ -410,16 +405,12 @@ def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray,
 
 def dense_schur_complement(problem: QuadraticProblem,
                            partition: BlockPartition | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Assembled (S, b~, c~) with S = A11 - A12 A22^{-1} A21.
+    """Assembled (S, b~, c~) with S = A11 - A12 A22^{-1} A21, so that
+    J~(x) = x'Sx / 2 + b~'x + c~.
 
-    Direct dense solve; serves as the independent oracle for the matrix-free
-    reduced operator and for conditioning reports.
+    Taken from the condensation of :class:`QuadraticExactElimination`, so it
+    is not independent of that map; tests of the map compare it with the
+    inverse of the x-block of A^{-1} instead.
     """
-    part = partition or problem.partition
-    a11, a12, a21, a22, b1, b2 = problem.blocks(part)
-    a22_inv_a21 = np.linalg.solve(a22, a21)
-    a22_inv_b2 = np.linalg.solve(a22, b2)
-    s = a11 - a12 @ a22_inv_a21
-    b_tilde = a12 @ a22_inv_b2 - b1
-    c_tilde = problem.c - 0.5 * float(b2 @ a22_inv_b2)
-    return 0.5 * (s + s.T), b_tilde, c_tilde
+    elim = QuadraticExactElimination(problem, partition)
+    return elim.s, elim.b_tilde, elim.c_tilde

@@ -245,6 +245,8 @@ class TestCLI:
         "scope beyond the block": "[problem]\nn_y = 60\n[method]\neliminate = last:100\n",
         "empty block": "[problem]\nn_x = 0\n",
         "reversed spectrum": "[problem]\nspec_x_lo = 5\nspec_x_hi = 1\n",
+        "inner_tol = 0": "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
+                         "[method]\nname = newton-elim\ninner_tol = 0\n",
     }
 
     def test_config_error_exit_three(self, tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.elimination
+import varred.linalg
 from varred.elimination import (
     GradientStepsElimination,
     NewtonElimination,
@@ -15,6 +17,7 @@ from varred.elimination import (
     dense_schur_complement,
 )
 from varred.linalg import cg_solve, LinOp, sym_matrix
+from varred.optimizers import StopRule, gradient_descent
 from varred.problems import BlockPartition, LogSumExpProblem, QuadraticProblem, build_test_matrix
 
 
@@ -44,11 +47,15 @@ class TestQuadraticExactElimination:
         np.testing.assert_allclose(y1, y2, atol=1e-11)
 
     def test_hand_solved_scalar_case(self):
-        elim = QuadraticExactElimination(two_by_two_problem())
+        p = two_by_two_problem()
+        elim = QuadraticExactElimination(p)
         for x in (-1.0, 0.0, 2.5):
             res = elim.solve(np.array([x]))
             assert res.y[0] == pytest.approx((1.0 - x) / 2.0, abs=1e-12)
-            assert res.linear_solves == 1
+            assert res.inner_iterations == 0 and res.linear_solves == 0
+        # at the minimizer of the full system, h returns its y-block
+        z_star = np.linalg.solve(p.a, p.b)
+        assert elim.solve(z_star[:1]).y[0] == pytest.approx(z_star[1], abs=1e-15)
 
     def test_residual_oracle(self):
         p = build_test_matrix(6, 9, (1, 5), (1, 40), 1e-1, seed=3)
@@ -61,13 +68,36 @@ class TestQuadraticExactElimination:
             grad_y = p.grad_y(z)
             assert np.linalg.norm(grad_y) <= 1e-10 * (1.0 + np.linalg.norm(elim.b2))
 
-    def test_one_linear_solve_per_evaluation(self):
+    def test_no_iterative_work_per_evaluation(self):
+        # the counters count iterative work only, and the direct map does none
         p = build_test_matrix(3, 4, (1, 2), (1, 6), 1e-1, seed=5)
         elim = QuadraticExactElimination(p)
+        z_star = np.linalg.solve(p.a, p.b)
+        np.testing.assert_allclose(elim.solve(z_star[:3]).y, z_star[3:], rtol=1e-12)
         rng = np.random.default_rng(2)
-        for k in range(1, 4):
-            elim.solve(rng.standard_normal(3))
-            assert elim.counters.linear_solves == k
+        for _ in range(3):
+            x = rng.standard_normal(3)
+            res = elim.solve(x)
+            y_oracle = np.linalg.solve(p.a[3:, 3:], p.b[3:] - p.a[3:, :3] @ x)
+            np.testing.assert_allclose(res.y, y_oracle, rtol=1e-12, atol=1e-14)
+            elim.schur_hvp(x)
+            assert res.inner_iterations == 0 and res.linear_solves == 0
+        assert elim.counters.snapshot() == (0, 0)
+
+    def test_pgd_makes_no_cg_call(self, monkeypatch):
+        def no_cg(*args, **kwargs):
+            raise AssertionError("exact quadratic elimination called CG")
+
+        monkeypatch.setattr(varred.linalg, "cg_solve", no_cg)
+        monkeypatch.setattr(varred.elimination, "cg_solve", no_cg)
+        p = build_test_matrix(5, 8, (1, 4), (1, 30), 1e-1, seed=17)
+        z_star = np.linalg.solve(p.a, p.b)
+        for mode in ("optimal_quadratic", "armijo"):
+            reduced = ReducedObjective(p)
+            x, record = gradient_descent(reduced, np.zeros(5), StopRule(rel_grad_tol=1e-8),
+                                         step_mode=mode)
+            np.testing.assert_allclose(x, z_star[:5], rtol=1e-6, atol=1e-7)
+            assert record.final.cum_linear_solves == 0
 
     def test_freed_without_the_cycle_collector(self):
         # the map holds no reference cycle, so dropping it frees its blocks
@@ -229,7 +259,8 @@ class TestReducedObjective:
     def test_hvp_matches_dense_schur(self):
         p = build_test_matrix(6, 8, (1, 5), (1, 25), 1e-1, seed=14)
         reduced = ReducedObjective(p)
-        s, _, _ = dense_schur_complement(p)
+        # independent of the condensation: S^{-1} is the x-block of A^{-1}
+        s = np.linalg.inv(np.linalg.inv(p.a)[:6, :6])
         rng = np.random.default_rng(5)
         for _ in range(4):
             v = rng.standard_normal(6)
@@ -256,12 +287,20 @@ class TestReducedObjective:
         reduced = ReducedObjective(p, elim=elim)
         x1 = np.ones(3)
         reduced.value(x1)
-        reduced.gradient(x1)  # cached: no new solve
-        assert elim.counters.linear_solves == 1 and reduced.fresh_solves == 1
+        reduced.gradient(x1)  # cached: no new evaluation of h
+        assert reduced.fresh_solves == 1
         reduced.gradient(np.zeros(3))
-        assert elim.counters.linear_solves == 2 and reduced.fresh_solves == 2
-        reduced.hvp(np.ones(3))  # each product is its own solve
-        assert elim.counters.linear_solves == 3
+        assert reduced.fresh_solves == 2
+        reduced.hvp(np.ones(3))  # the assembled Schur complement: no evaluation of h
+        assert reduced.fresh_solves == 2
+        # the direct map does no iterative work, so none is counted
+        assert elim.counters.snapshot() == (0, 0)
+        z_star = np.linalg.solve(p.a, p.b)
+        np.testing.assert_allclose(reduced.eliminated_point(z_star[:3]), z_star[3:],
+                                   rtol=1e-12, atol=1e-14)
+        assert reduced.fresh_solves == 3
+        with pytest.raises(ValueError):  # a fresh point is still validated
+            reduced.value(np.full(3, np.nan))
 
 
 class TestSchurConditioning:
