@@ -30,7 +30,6 @@ from .problems import (
 from .elimination import (
     EliminationMap,
     EliminationResult,
-    GradientStepsElimination,
     NewtonElimination,
     QuadraticExactElimination,
     ReducedObjective,

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from .errors import (
     VarredError,
 )
 from .elimination import (
-    GradientStepsElimination,
     NewtonElimination,
     ReducedObjective,
     ScheduledInexactElimination,
@@ -95,14 +95,16 @@ class ExperimentConfig:
     # [inexact]
     tol_init: float = 1e-3
     rho: float = 0.5
-    inner: str = "newton"  # newton | gd-fixed (comparison only; expect poor results)
-    gd_steps: int = 5
     # [output]
     out_dir: str = "runs"
     history: str = ""  # default name derived from method and problem
     log: str = "runs.log"
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {self.kind!r}")
         if self.method not in METHODS:
@@ -127,8 +129,6 @@ class ExperimentConfig:
             raise ConfigError("method.inner_tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("stop.max_iter must be >= 1")
-        if self.inner not in ("newton", "gd-fixed"):
-            raise ConfigError(f"inexact.inner must be newton|gd-fixed, got {self.inner!r}")
         try:
             self.stop_rule()
             self.armijo_params()
@@ -203,8 +203,6 @@ CONFIG_KEYS: dict[str, dict[str, tuple[str, type | object]]] = {
     "inexact": {
         "tol_init": ("tol_init", float),
         "rho": ("rho", float),
-        "inner": ("inner", str),
-        "gd_steps": ("gd_steps", int),
     },
     "output": {
         "dir": ("out_dir", str),
@@ -250,10 +248,8 @@ class RunSummary:
     iterations: int
     final_rel_grad: float
     linear_solves: int
-    inner_iterations: int
     elapsed_s: float
     status: str  # converged | max-iter | failed
-    kappa: dict | None = None
 
     def log_line(self) -> str:
         return "\t".join([
@@ -315,11 +311,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
                                          step_mode=_resolve_step_mode(cfg, problem),
                                          armijo=armijo)
         elif cfg.method == "pgd-inexact":
-            if cfg.inner == "gd-fixed":
-                inner = GradientStepsElimination(problem, part, n_steps=cfg.gd_steps)
-            else:
-                inner = NewtonElimination(problem, part)
-            sched = ScheduledInexactElimination(inner, tol_init=cfg.tol_init, rho=cfg.rho)
+            sched = ScheduledInexactElimination(NewtonElimination(problem, part),
+                                                tol_init=cfg.tol_init, rho=cfg.rho)
             _, _, record = pgd_inexact(problem, part, sched, x0, y0, stop, armijo)
         elif cfg.method == "altmin":
             _, record = alternating_minimization(problem, part, z0, stop)
@@ -338,12 +331,10 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
         summary = RunSummary(
             method=cfg.method, problem=cfg.problem_label(), n_elim=part.n_y,
             iterations=record.iterations, final_rel_grad=final.rel_grad_norm,
-            linear_solves=final.cum_linear_solves,
-            inner_iterations=sum(r.inner_iters for r in record.rows),
-            elapsed_s=elapsed, status=status)
+            linear_solves=final.cum_linear_solves, elapsed_s=elapsed, status=status)
     else:
         summary = RunSummary(cfg.method, cfg.problem_label(), part.n_y, 0,
-                             float("nan"), 0, 0, elapsed, status)
+                             float("nan"), 0, elapsed, status)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

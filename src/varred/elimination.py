@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .linalg import DEFAULT_CG_TOL, LinOp, as_vector, cg_solve
+from .linalg import LinOp, as_vector, cg_solve
 from .problems import BlockPartition, Objective, QuadraticProblem
 
 
@@ -94,29 +94,26 @@ class QuadraticExactElimination(EliminationMap):
 
 
 class NewtonElimination(EliminationMap):
-    """Damped inexact Newton on grad_y J(x, .) = 0.
+    """Damped inexact Newton on grad_y J(x, .) = 0, down to residual ``inner_tol``.
 
-    Each Newton step solves the y-block Hessian system by CG.  With
-    ``cg_rel_tol=None`` the CG tolerance is the classical superlinear forcing
-    term min(0.5, sqrt(residual)); a fixed tolerance can be supplied instead
-    (e.g. 1e-12 to make single-step exactness on quadratics observable).
-    Steps are damped by backtracking on the residual-norm merit.
+    Each Newton step solves the y-block Hessian system by CG in at most
+    max(500, 30 n_y) iterations.  With ``cg_rel_tol=None`` the CG tolerance is
+    the classical superlinear forcing term eta = min(0.5, sqrt(residual)); a
+    fixed tolerance can be supplied instead (e.g. 1e-12 to make single-step
+    exactness on quadratics observable).  Steps are damped by backtracking on
+    the residual-norm merit: from t = 1, halved up to 40 times until the
+    residual falls by the factor 1 - 1e-4 t (1 - eta).  A solve that needs more
+    than 50 Newton steps, or whose damping fails, raises
+    :class:`NonConvergence`.
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
-                 inner_tol: float = 1e-10, max_inner: int = 50,
-                 cg_rel_tol: float | None = None, cg_max_iter: int | None = None,
-                 damping_c1: float = 1e-4, damping_shrink: float = 0.5,
-                 damping_max_trials: int = 40):
+                 inner_tol: float = 1e-10, cg_rel_tol: float | None = None):
         self.objective = objective
         self.partition = partition or objective.partition
         self.inner_tol = inner_tol
-        self.max_inner = max_inner
         self.cg_rel_tol = cg_rel_tol
-        self.cg_max_iter = cg_max_iter or max(500, 30 * self.partition.n_y)
-        self.damping_c1 = damping_c1
-        self.damping_shrink = damping_shrink
-        self.damping_max_trials = damping_max_trials
+        self.cg_max_iter = max(500, 30 * self.partition.n_y)
         self._warm = np.zeros(self.partition.n_y)
         self.counters = WorkCounters()
 
@@ -137,7 +134,7 @@ class NewtonElimination(EliminationMap):
         steps = solves = 0
         try:
             while res > tol:
-                if steps >= self.max_inner:
+                if steps >= 50:
                     raise NonConvergence(
                         f"inner Newton stalled at residual {res:.3e} (tol {tol:.1e})",
                         residual=res, iterations=steps)
@@ -148,13 +145,13 @@ class NewtonElimination(EliminationMap):
                 solves += 1
 
                 t = 1.0
-                for _ in range(self.damping_max_trials):
+                for _ in range(40):
                     y_trial = y + t * step
                     g_trial = self._residual(x, y_trial)
                     res_trial = float(np.linalg.norm(g_trial))
-                    if res_trial <= (1.0 - self.damping_c1 * t * (1.0 - eta)) * res:
+                    if res_trial <= (1.0 - 1e-4 * t * (1.0 - eta)) * res:
                         break
-                    t *= self.damping_shrink
+                    t *= 0.5
                 else:
                     raise NonConvergence(
                         f"inner Newton damping failed at residual {res:.3e}",
@@ -167,64 +164,6 @@ class NewtonElimination(EliminationMap):
 
         self._warm = y.copy()
         return EliminationResult(y, res, steps, solves)
-
-
-class GradientStepsElimination(EliminationMap):
-    """Fixed-count gradient descent on the eliminated block (identity scaling,
-    Armijo step lengths).
-
-    Kept for comparison with the Newton-based inner solver; it satisfies the
-    consistency contract (an already-converged warm start is returned
-    unchanged) but makes no accuracy guarantee beyond its step budget.
-    """
-
-    def __init__(self, objective: Objective, partition: BlockPartition | None = None,
-                 n_steps: int = 5, c1: float = 1e-4, shrink: float = 0.5,
-                 t0: float = 1.0, max_trials: int = 40):
-        self.objective = objective
-        self.partition = partition or objective.partition
-        self.n_steps = n_steps
-        self.c1 = c1
-        self.shrink = shrink
-        self.t0 = t0
-        self.max_trials = max_trials
-        self._warm = np.zeros(self.partition.n_y)
-        self.counters = WorkCounters()
-
-    def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
-              tol: float | None = None) -> EliminationResult:
-        x = as_vector(x)
-        tol = 0.0 if tol is None else tol
-        y = (self._warm if y0 is None else as_vector(y0)).copy()
-        part = self.partition
-
-        def val_grad(yv):
-            z = part.embed(x, yv)
-            v, g = self.objective.evaluate(z)
-            return v, g[part.y_indices]
-
-        v, g_y = val_grad(y)
-        res = float(np.linalg.norm(g_y))
-        steps = 0
-        t = self.t0
-        for _ in range(self.n_steps):
-            if res <= tol:
-                break
-            gtd = -(res * res)
-            for _ in range(self.max_trials):
-                y_trial = y + t * (-g_y)
-                v_trial, g_trial = val_grad(y_trial)
-                if v_trial <= v + self.c1 * t * gtd:
-                    break
-                t *= self.shrink
-            else:
-                break
-            y, v, g_y = y_trial, v_trial, g_trial
-            res = float(np.linalg.norm(g_y))
-            steps += 1
-        self._warm = y.copy()
-        self.counters.inner_iterations += steps
-        return EliminationResult(y, res, steps, 0)
 
 
 class ScheduledInexactElimination(EliminationMap):
@@ -366,14 +305,14 @@ class ReducedObjective:
             raise NotImplementedError("matrix-free reduced Hessian requires an exact quadratic map")
         return self.elim.schur_hvp(v)
 
-    def hessian_op(self, x: np.ndarray, lin_rel_tol: float = DEFAULT_CG_TOL) -> LinOp:
+    def hessian_op(self, x: np.ndarray) -> LinOp:
         """Reduced Hessian at x as an operator: the assembled Schur complement
         for exact quadratic maps, otherwise :func:`reduced_newton_operator`
         at (x, h(x))."""
         if isinstance(self.elim, QuadraticExactElimination):
             return LinOp(dim=self.n, apply=self.elim.schur_hvp)
         z = self.partition.embed(x, self.eliminated_point(x))
-        return reduced_newton_operator(self.objective, self.partition, z, lin_rel_tol)
+        return reduced_newton_operator(self.objective, self.partition, z)
 
     def curvature_along(self, x: np.ndarray, d: np.ndarray) -> float:
         """Curvature of the retained block at the incumbent eliminated point.
@@ -386,18 +325,18 @@ class ReducedObjective:
         return float(d @ h_lifted[self.partition.x_indices]) / float(d @ d)
 
 
-def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray,
-                            lin_rel_tol: float = DEFAULT_CG_TOL) -> LinOp:
+def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray) -> LinOp:
     """Matrix-free reduced Jacobian at z = (x, h(x)):
 
         v -> grad_xx J v - grad_yx J (grad_yy J)^{-1} grad_xy J v,
 
-    with one y-block CG solve per application."""
+    with one y-block CG solve, at the default relative tolerance 1e-12, per
+    application."""
     h_yy = obj.hess_yy_op(z, part)
 
     def apply(v: np.ndarray) -> np.ndarray:
         hv = obj.hessian_vec(z, part.lift_x(v))
-        s = cg_solve(h_yy, hv[part.y_indices], rel_tol=lin_rel_tol).x
+        s = cg_solve(h_yy, hv[part.y_indices]).x
         return hv[part.x_indices] - obj.hessian_vec(z, part.lift_y(s))[part.x_indices]
 
     return LinOp(dim=part.n_x, apply=apply)

@@ -51,27 +51,28 @@ class ArmijoParams:
             raise ValueError("shrink must lie in (0, 1)")
         if self.t0 <= 0.0:
             raise ValueError("t0 must be positive")
+        if self.max_trials < 1:
+            raise ValueError("max_trials must be >= 1")
 
 
 @dataclass
 class StopRule:
     """Relative gradient-norm stopping rule with an absolute-floor guard.
 
-    Terminates when ||g_k|| <= max(rel_grad_tol * ||g_0||, abs_grad_tol); the
+    Terminates when ||g_k|| <= max(rel_grad_tol * ||g_0||, 1e-12); the
     absolute floor makes runs started at (or numerically on top of) a
     stationary point terminate instead of dividing by their own noise.
     """
 
     rel_grad_tol: float = 1e-6
     max_iter: int = 50000
-    abs_grad_tol: float = 1e-12
 
     def __post_init__(self):
         if self.rel_grad_tol <= 0.0:
             raise ValueError("rel_grad_tol must be positive")
 
     def met(self, grad_norm: float, grad_norm0: float) -> bool:
-        return grad_norm <= max(self.rel_grad_tol * grad_norm0, self.abs_grad_tol)
+        return grad_norm <= max(self.rel_grad_tol * grad_norm0, 1e-12)
 
 
 @dataclass
@@ -194,10 +195,10 @@ def _steepest(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -g
 
 
-def _newton_direction(reduced: ReducedObjective, lin_rel_tol: float):
-    """Reduced Newton step: CG on the reduced Hessian at ``lin_rel_tol``."""
+def _newton_direction(reduced: ReducedObjective):
+    """Reduced Newton step: CG on the reduced Hessian at the default 1e-12."""
     def direction(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return linalg.cg_solve(reduced.hessian_op(x, lin_rel_tol), -g, rel_tol=lin_rel_tol).x
+        return linalg.cg_solve(reduced.hessian_op(x), -g).x
     return direction
 
 
@@ -314,19 +315,17 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
 
 def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarray,
                              stop: StopRule,
-                             x_solver: EliminationMap | None = None,
-                             y_solver: EliminationMap | None = None,
                              keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
     """Alternate argmin over the retained and eliminated blocks.
 
     One iteration is a full sweep (x update, then y update); the objective is
     non-increasing at every half sweep by construction of the block solvers.
-    Stops on the relative full-gradient norm.  Block solvers default to
+    Stops on the relative full-gradient norm.  Both block solvers are
     :func:`~varred.elimination.exact_map`; the x-block solver works on the
     swapped partition (its "eliminated" block is x).
     """
-    x_solver = exact_map(obj, part.swapped()) if x_solver is None else x_solver
-    y_solver = exact_map(obj, part) if y_solver is None else y_solver
+    x_solver = exact_map(obj, part.swapped())
+    y_solver = exact_map(obj, part)
 
     z = as_vector(z0).copy()
     val, g = obj.evaluate(z)
@@ -360,18 +359,18 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
                       x0: np.ndarray | None = None,
                       stop: StopRule | None = None,
                       p: ArmijoParams | None = None,
-                      lin_rel_tol: float = 1e-12,
                       keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
     """Newton iteration on the reduced optimality system F~(x) = grad_x J(x, h(x)).
 
     The reduced Jacobian grad_xx J - grad_yx J (grad_yy J)^{-1} grad_xy J is
     applied matrix-free (:meth:`ReducedObjective.hessian_op`) and each Newton
-    system is solved by CG at ``lin_rel_tol``; steps are damped by Armijo on
-    the reduced objective from a unit trial step.
+    system is solved by CG to relative residual 1e-12, as are the y-block
+    solves inside each operator product; steps are damped by Armijo on the
+    reduced objective from a unit trial step.
     """
     reduced = ReducedObjective(obj, part, elim)
     x = as_vector(x0).copy() if x0 is not None else np.zeros(reduced.partition.n_x)
-    return _descend(reduced, x, stop or StopRule(), _newton_direction(reduced, lin_rel_tol),
+    return _descend(reduced, x, stop or StopRule(), _newton_direction(reduced),
                     _armijo_step(reduced, p or ArmijoParams(), t_first=1.0), keep_iterates,
                     "Newton with elimination")
 

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from varred.bench_cli import (
+    CONFIG_KEYS,
     ExperimentConfig,
     conditioning_report,
     emit_history_csv,
@@ -34,6 +37,12 @@ eliminate = full
 rel_grad_tol = 1e-6
 max_iter = 5000
 """
+
+
+def small_inexact(problem="", method="", rest=""):
+    """Config text for pgd-inexact on a 4/6 quadratic, plus the given lines."""
+    return (f"[problem]\nn_x = 4\nn_y = 6\n{problem}"
+            f"[method]\nname = pgd-inexact\n{method}{rest}")
 
 
 @pytest.fixture
@@ -78,6 +87,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig(eliminate="first:3").validate()
         assert ExperimentConfig(eliminate="last:7").scope_n_r == 7
+
+    def test_keys_map_one_to_one_onto_fields(self):
+        # parse_config sets attributes by name, so a key whose field is gone
+        # would otherwise be accepted and ignored
+        attrs = [attr for table in CONFIG_KEYS.values() for attr, _ in table.values()]
+        assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 class TestHistoryCSV:
@@ -247,6 +262,15 @@ class TestCLI:
         "reversed spectrum": "[problem]\nspec_x_lo = 5\nspec_x_hi = 1\n",
         "inner_tol = 0": "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
                          "[method]\nname = newton-elim\ninner_tol = 0\n",
+        "z0_fill = nan": small_inexact(method="z0_fill = nan\n"),
+        "coupling_eps = nan": small_inexact(problem="coupling_eps = nan\n"),
+        "spec_x_hi = inf": small_inexact(problem="spec_x_hi = inf\n"),
+        "t0 = nan": small_inexact(rest="[armijo]\nt0 = nan\n"),
+        "rel_grad_tol = nan": small_inexact(rest="[stop]\nrel_grad_tol = nan\n"),
+        "tol_init = nan": small_inexact(rest="[inexact]\ntol_init = nan\n"),
+        "max_trials = 0": small_inexact(rest="[armijo]\nmax_trials = 0\n"),
+        "removed inner solver": "[inexact]\ninner = gd-fixed\n",
+        "removed gd_steps": "[inexact]\ngd_steps = 5\n",
     }
 
     def test_config_error_exit_three(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import varred.elimination
 import varred.linalg
 from varred.elimination import (
-    GradientStepsElimination,
     NewtonElimination,
     QuadraticExactElimination,
     ReducedObjective,
@@ -164,25 +163,6 @@ class TestScheduledInexactElimination:
         sched.reset(z_star[3:])
         res = sched.solve(z_star[:3])
         assert res.inner_iterations == 0
-
-
-class TestGradientStepsElimination:
-    def test_takes_requested_steps_and_reduces_residual(self):
-        p = LogSumExpProblem(20, 4)
-        elim = GradientStepsElimination(p, n_steps=5)
-        x = np.zeros(16)
-        res0 = np.linalg.norm(p.grad_y(p.partition.embed(x, np.zeros(4))))
-        res = elim.solve(x, y0=np.zeros(4))
-        assert res.inner_iterations == 5
-        assert res.residual < res0
-
-    def test_consistency_at_optimum(self):
-        p = build_test_matrix(3, 3, (1, 2), (1, 4), 1e-1, seed=4)
-        z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
-        elim = GradientStepsElimination(p, n_steps=3)
-        res = elim.solve(z_star[:3], y0=z_star[3:], tol=1e-10)
-        assert res.inner_iterations == 0
-        assert np.array_equal(res.y, z_star[3:])
 
 
 class TestReducedObjective:

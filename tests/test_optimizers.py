@@ -314,21 +314,3 @@ class TestRateBound:
     def test_violated_bound_detected(self):
         iterates = [np.array([1.0]), np.array([0.9])]
         assert not check_rate_bound(None, 1.0, np.array([0.0]), iterates)
-
-
-class TestFixedStepInner:
-    def test_gd_inner_runs_but_underperforms_newton(self):
-        # the fixed-step-count inner solver decreases the objective but
-        # rarely reaches the residual floor; kept for comparison only
-        from varred.elimination import GradientStepsElimination
-
-        p = LogSumExpProblem(40, 4)
-        sched = ScheduledInexactElimination(GradientStepsElimination(p, n_steps=5))
-        stop = StopRule(rel_grad_tol=1e-6, max_iter=40)
-        try:
-            _, _, rec = pgd_inexact(p, p.partition, sched, np.zeros(36), np.zeros(4), stop)
-        except MaxIterReached as exc:
-            rec = exc.record
-        vals = rec.fvals()
-        assert vals[-1] < vals[0]
-        assert np.all(np.diff(vals) <= 1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
