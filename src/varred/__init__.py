@@ -9,6 +9,8 @@ from .errors import (
     LineSearchFailure,
     MaxIterReached,
     NonConvergence,
+    NonFinite,
+    NotDescentDirection,
     NotSPD,
     VarredError,
 )

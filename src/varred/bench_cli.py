@@ -31,10 +31,8 @@ from .errors import (
     ConfigError,
     ConstructionFailure,
     DimensionMismatch,
-    LineSearchFailure,
     MaxIterReached,
-    NonConvergence,
-    NotSPD,
+    NonFinite,
     VarredError,
 )
 from .elimination import (
@@ -122,7 +120,7 @@ class ExperimentConfig:
                 raise ConfigError("elimination scope n_r must be >= 1")
         if self.step_mode == "optimal" and self.method == "pgd-exact" and self.kind != "quadratic":
             raise ConfigError("method.step_mode = optimal with pgd-exact needs a quadratic problem")
-        for name in ("tol_init", "coupling_eps"):
+        for name in ("tol_init", "coupling_eps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not self.inner_tol > 0:
@@ -262,8 +260,8 @@ class RunSummary:
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the configured objective and its elimination partition.
 
-    Sizes or coefficients the problem or the elimination scope reject are
-    config errors."""
+    Sizes or coefficients the problem or the elimination scope reject, and
+    spectra that overflow, are config errors."""
     try:
         if cfg.kind == "quadratic":
             problem = build_test_matrix(
@@ -274,7 +272,7 @@ def build_problem(cfg: ExperimentConfig):
         part = problem.partition
         if cfg.scope_n_r is not None:
             part = part.shrink_eliminated(cfg.scope_n_r)
-    except (DimensionMismatch, ConstructionFailure) as exc:
+    except (DimensionMismatch, ConstructionFailure, NonFinite) as exc:
         raise ConfigError(f"{cfg.problem_label()}, eliminate = {cfg.eliminate}: {exc}") from exc
     return problem, part
 
@@ -288,9 +286,16 @@ def _resolve_step_mode(cfg: ExperimentConfig, problem) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSummary, ConvergenceRecord | None]:
-    """Execute one configured run; persist its history CSV and a run-log line."""
+    """Execute one configured run; persist its history CSV and a run-log line.
+
+    Output that cannot be written is a config error."""
     cfg.validate()
     problem, part = build_problem(cfg)
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir = {cfg.out_dir!r}: {exc}") from exc
     stop = cfg.stop_rule()
     armijo = cfg.armijo_params()
     z0 = np.full(problem.n, cfg.z0_fill)
@@ -322,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
     except MaxIterReached as exc:
         status = "max-iter"
         record = exc.record
-    except (NonConvergence, LineSearchFailure, NotSPD) as exc:
+    except VarredError as exc:  # any breakdown of the solve, logged as a failed run
         status = f"failed: {exc}"
     elapsed = time.perf_counter() - started
 
@@ -336,13 +341,14 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
         summary = RunSummary(cfg.method, cfg.problem_label(), part.n_y, 0,
                              float("nan"), 0, elapsed, status)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if record is not None and record.rows:
-        name = cfg.history or f"{cfg.method}_{cfg.kind}_seed{cfg.seed}.csv"
-        emit_history_csv(record, out_dir / name)
-    with open(out_dir / cfg.log, "a", encoding="utf-8") as fh:
-        fh.write(summary.log_line() + "\n")
+    try:
+        if record is not None and record.rows:
+            name = cfg.history or f"{cfg.method}_{cfg.kind}_seed{cfg.seed}.csv"
+            emit_history_csv(record, out_dir / name)
+        with open(out_dir / cfg.log, "a", encoding="utf-8") as fh:
+            fh.write(summary.log_line() + "\n")
+    except (OSError, VarredError) as exc:
+        raise ConfigError(f"cannot write the run's output under {out_dir}: {exc}") from exc
     if not quiet:
         print(f"{summary.method:12s} {summary.problem:42s} iters={summary.iterations:6d} "
               f"rel_grad={summary.final_rel_grad:.2e} solves={summary.linear_solves:7d} "

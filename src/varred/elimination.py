@@ -96,8 +96,10 @@ class QuadraticExactElimination(EliminationMap):
 class NewtonElimination(EliminationMap):
     """Damped inexact Newton on grad_y J(x, .) = 0, down to residual ``inner_tol``.
 
-    Each Newton step solves the y-block Hessian system by CG in at most
-    max(500, 30 n_y) iterations.  With ``cg_rel_tol=None`` the CG tolerance is
+    Each residual evaluation is one :meth:`Objective.y_linearization`, and
+    the Newton step from an accepted point solves with the y-block Hessian
+    operator of that same evaluation, by CG in at most max(500, 30 n_y)
+    iterations.  With ``cg_rel_tol=None`` the CG tolerance is
     the classical superlinear forcing term eta = min(0.5, sqrt(residual)); a
     fixed tolerance can be supplied instead (e.g. 1e-12 to make single-step
     exactness on quadratics observable).  Steps are damped by backtracking on
@@ -117,10 +119,6 @@ class NewtonElimination(EliminationMap):
         self._warm = np.zeros(self.partition.n_y)
         self.counters = WorkCounters()
 
-    def _residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        z = self.partition.embed(x, y)
-        return self.objective.gradient(z)[self.partition.y_indices]
-
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
         x = as_vector(x)
@@ -129,7 +127,10 @@ class NewtonElimination(EliminationMap):
         tol = self.inner_tol if tol is None else tol
         y = (self._warm if y0 is None else as_vector(y0)).copy()
 
-        g_y = self._residual(x, y)
+        def linearize(y: np.ndarray) -> tuple[np.ndarray, LinOp]:
+            return self.objective.y_linearization(self.partition.embed(x, y), self.partition)
+
+        g_y, h_yy = linearize(y)
         res = float(np.linalg.norm(g_y))
         steps = solves = 0
         try:
@@ -138,8 +139,6 @@ class NewtonElimination(EliminationMap):
                     raise NonConvergence(
                         f"inner Newton stalled at residual {res:.3e} (tol {tol:.1e})",
                         residual=res, iterations=steps)
-                z = self.partition.embed(x, y)
-                h_yy = self.objective.hess_yy_op(z, self.partition)
                 eta = self.cg_rel_tol if self.cg_rel_tol is not None else min(0.5, math.sqrt(res))
                 step = cg_solve(h_yy, -g_y, rel_tol=eta, max_iter=self.cg_max_iter).x
                 solves += 1
@@ -147,7 +146,7 @@ class NewtonElimination(EliminationMap):
                 t = 1.0
                 for _ in range(40):
                     y_trial = y + t * step
-                    g_trial = self._residual(x, y_trial)
+                    g_trial, h_trial = linearize(y_trial)
                     res_trial = float(np.linalg.norm(g_trial))
                     if res_trial <= (1.0 - 1e-4 * t * (1.0 - eta)) * res:
                         break
@@ -156,7 +155,7 @@ class NewtonElimination(EliminationMap):
                     raise NonConvergence(
                         f"inner Newton damping failed at residual {res:.3e}",
                         residual=res, iterations=steps)
-                y, g_y, res = y_trial, g_trial, res_trial
+                y, g_y, h_yy, res = y_trial, g_trial, h_trial, res_trial
                 steps += 1
         finally:
             self.counters.inner_iterations += steps

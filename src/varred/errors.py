@@ -22,6 +22,13 @@ class NonConvergence(VarredError):
         self.iterations = iterations
 
 
+class NonFinite(VarredError, ValueError):
+    """An operand has NaN or infinite entries, as given or after an overflow.
+
+    Also a :class:`ValueError`, since the operand is an invalid argument.
+    """
+
+
 class NotSPD(VarredError):
     """A matrix required to be symmetric positive definite is not."""
 
@@ -32,6 +39,13 @@ class ConstructionFailure(VarredError):
 
 class DegenerateCurvature(VarredError):
     """Curvature along the requested direction is not positive."""
+
+
+class NotDescentDirection(VarredError, ValueError):
+    """A line search was given a direction d with g'd >= 0.
+
+    Also a :class:`ValueError`, since the direction is an invalid argument.
+    """
 
 
 class LineSearchFailure(VarredError):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NotSPD
+from .errors import DimensionMismatch, NonConvergence, NonFinite, NotSPD
 
 DEFAULT_CG_TOL = 1e-12  # elimination solves must sit far below outer tolerances
 
@@ -26,7 +26,7 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
+        raise NonFinite("vector contains non-finite entries")
     return v
 
 
@@ -36,7 +36,7 @@ def sym_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFinite("matrix contains non-finite entries")
     return 0.5 * (a + a.T)
 
 

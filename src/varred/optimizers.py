@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateCurvature, LineSearchFailure, MaxIterReached
+from .errors import DegenerateCurvature, LineSearchFailure, MaxIterReached, NotDescentDirection
 from .elimination import (
     EliminationMap,
     ReducedObjective,
@@ -163,12 +163,12 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
     """First step in {t0, t0*shrink, ...} with sufficient decrease along d.
 
     Returns ``(t, f(x + t d), trials)``.  Raises :class:`LineSearchFailure`
-    once ``max_trials`` trials are exhausted; requires d to be a descent
-    direction (g'd < 0).
+    once ``max_trials`` trials are exhausted, and :class:`NotDescentDirection`
+    unless d is a descent direction (g'd < 0).
     """
     gtd = float(g @ d)
     if gtd >= 0.0:
-        raise ValueError(f"not a descent direction: g'd = {gtd:.3e} >= 0")
+        raise NotDescentDirection(f"not a descent direction: g'd = {gtd:.3e} >= 0")
     if f_x is None:
         f_x = f(x)
     t = p.t0 if t0 is None else t0

@@ -10,6 +10,7 @@ Hessian-vector product supports elimination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,16 @@ class Objective:
         part = part or self.partition
         return self.block_hessian_op(z, part.y_indices, part.y_indices)
 
+    def y_linearization(self, z: np.ndarray,
+                        part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
+        """(grad_y J(z), grad_yy J(z) as an operator) from one evaluation at z.
+
+        Here: the sliced full gradient and :meth:`hess_yy_op`.  Neither block
+        operator does any work before its first product, so a caller that only
+        needs the gradient pays nothing for the operator."""
+        part = part or self.partition
+        return self.gradient(z)[part.y_indices], self.hess_yy_op(z, part)
+
     def curvature_along(self, z: np.ndarray, d: np.ndarray) -> float:
         """Rayleigh quotient d'H(z)d / d'd."""
         nd2 = float(d @ d)
@@ -185,8 +196,9 @@ class QuadraticProblem(Objective):
         return self.a @ v
 
     def block_hessian_op(self, z, rows, cols) -> LinOp:
-        sub = self.a[np.ix_(rows, cols)]
-        return LinOp(dim=rows.size, apply=lambda v: sub @ v)
+        # the submatrix is copied on the first product, not when the operator is made
+        sub = functools.cache(lambda: self.a[np.ix_(rows, cols)])
+        return LinOp(dim=rows.size, apply=lambda v: sub() @ v)
 
     def blocks(self, part: BlockPartition | None = None):
         """(A11, A12, A21, A22, b1, b2) under the given partition."""
@@ -275,6 +287,26 @@ class LogSumExpProblem(Objective):
         _, w = self._softmax_weights(z)
         g_soft = self.b_coeffs * w
         return self.b_coeffs * g_soft * v - g_soft * float(g_soft @ v) + self.d_diag * v
+
+    def y_linearization(self, z: np.ndarray,
+                        part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
+        """(grad_y J(z), grad_yy J(z) as an operator) from one softmax pass.
+
+        The operator v -> (b g)∘v - g (g·v) + d∘v, with g = b∘w the softmax
+        gradient, touches only the n_y entries of the block.  It keeps the
+        elementwise order of :meth:`hessian_vec`; only the dot product g·v,
+        summed over n_y entries instead of n, may differ in the last bits."""
+        part = part or self.partition
+        self._check_dim(z)
+        _, w = self._softmax_weights(z)
+        y = part.y_indices
+        g_soft, d = self.b_coeffs[y] * w[y], self.d_diag[y]
+        bg = self.b_coeffs[y] * g_soft
+        op = LinOp(dim=y.size, apply=lambda v: bg * v - g_soft * float(g_soft @ v) + d * v)
+        return g_soft + d * z[y], op
+
+    def hess_yy_op(self, z: np.ndarray, part: BlockPartition | None = None) -> LinOp:
+        return self.y_linearization(z, part)[1]
 
     def dense_hessian(self, z: np.ndarray) -> np.ndarray:
         """Assembled Hessian; intended for small-n diagnostics only."""

@@ -1,10 +1,19 @@
+import contextlib
+import io
+import math
+import string
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import varred.optimizers
 
 from varred.bench_cli import (
     CONFIG_KEYS,
+    METHODS,
     ExperimentConfig,
     conditioning_report,
     emit_history_csv,
@@ -16,6 +25,7 @@ from varred.bench_cli import (
 )
 from varred.errors import ConfigError, VarredError
 from varred.optimizers import ConvergenceRecord, RecordRow
+from varred.problems import QuadraticProblem
 
 SMALL_QUADRATIC = """
 [problem]
@@ -271,6 +281,8 @@ class TestCLI:
         "max_trials = 0": small_inexact(rest="[armijo]\nmax_trials = 0\n"),
         "removed inner solver": "[inexact]\ninner = gd-fixed\n",
         "removed gd_steps": "[inexact]\ngd_steps = 5\n",
+        "seed = -1": "[problem]\nseed = -1\n",
+        "overflowing spectrum": small_inexact(problem="spec_y_hi = 1.7976931348623157e+308\n"),
     }
 
     def test_config_error_exit_three(self, tmp_path, capsys):
@@ -280,6 +292,15 @@ class TestCLI:
             assert main(["run", "--config", str(path)]) == 3, case
             err = capsys.readouterr().err
             assert err.startswith("config error") and len(err.splitlines()) == 1, case
+
+    @pytest.mark.parametrize("output", ["dir = blocker", "log = .", "history = blocker/sub"])
+    def test_unwritable_output_exit_three(self, tmp_path, capsys, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        (tmp_path / "cfg.ini").write_text(SMALL_QUADRATIC + f"[output]\n{output}\n")
+        assert main(["run", "--config", "cfg.ini"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
 
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 3
@@ -313,6 +334,30 @@ dir = {out}
 """.format(out=tmp_path / "o"))
         assert main(["run", "--config", str(path)]) == 4
 
+    @pytest.mark.parametrize("breakdown", ["negative curvature", "ascent direction",
+                                           "overflow at the start point"])
+    def test_solver_breakdown_logged_exit_four(self, tmp_path, capsys, monkeypatch, breakdown):
+        method_lines = "step_mode = optimal"
+        if breakdown == "negative curvature":
+            # the optimal step meets d'Hd < 0 and raises DegenerateCurvature
+            monkeypatch.setattr(QuadraticProblem, "hessian_vec", lambda self, z, v: -(self.a @ v))
+        elif breakdown == "ascent direction":
+            # an ascent direction reaches armijo_search, which raises NotDescentDirection
+            monkeypatch.setattr(varred.optimizers, "_steepest", lambda x, g: g)
+            method_lines = "step_mode = armijo"
+        else:
+            # A z overflows, and the step rule meets a non-finite gradient
+            method_lines += "\nz0_fill = 1.7976931348623157e+308"
+        path = tmp_path / "cfg.ini"
+        path.write_text(SMALL_QUADRATIC.replace(
+            "eliminate = full", f"eliminate = full\n{method_lines}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--method", "gd", "--out", str(out)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        log_lines = (out / "runs.log").read_text().splitlines()
+        assert len(log_lines) == 1
+        assert log_lines[0].split("\t")[-1].startswith("failed: ")
+
     def test_report_condition_verb(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text(SMALL_QUADRATIC)
@@ -331,3 +376,52 @@ dir = {out}
                         f"[output]\ndir = {tmp_path / 'o'}\n")
         assert main(["sweep-table1", "--config", str(path), "--n-el", "4,8"]) == 0
         assert "pgd-inexact" in capsys.readouterr().out
+
+
+def _bad_values(section: str, typ):
+    """Out-of-range, non-finite or malformed values for one config key type.
+
+    Sizes are never large: a valid but huge n_x would only be slow."""
+    if typ is float:
+        return st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]),
+                         st.floats()).map(repr)
+    if typ is int:
+        return st.integers(max_value=0).map(str)
+    if section == "output":
+        # relative to the working directory, which holds a regular file "blocker"
+        return st.sampled_from(["blocker", "blocker/sub", "missing/sub", ".", ""])
+    return st.one_of(
+        st.sampled_from(["", "maybe", "cubic", "last:0", "last:-1", "last:x", "last:99"]),
+        st.text(alphabet=string.ascii_letters + string.digits + ":-_.", max_size=12))
+
+
+FUZZ_KEYS = [(section, key, typ) for section, table in CONFIG_KEYS.items()
+             for key, (_, typ) in table.items()]
+
+
+class TestCLIFuzz:
+    """One config key at a time set to a bad value on a tiny quadratic: the CLI
+    ends with a documented exit code and never with a traceback."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(method=st.sampled_from(METHODS),
+           entry=st.sampled_from(FUZZ_KEYS).flatmap(
+               lambda e: st.tuples(st.just(e), _bad_values(e[0], e[2]))))
+    def test_one_bad_key_exits_cleanly(self, tmp_path, monkeypatch, method, entry):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        (section, key, _), value = entry
+        sections = {"problem": {"n_x": "4", "n_y": "6"},
+                    "method": {"name": method},
+                    "stop": {"max_iter": "30"},
+                    "output": {"dir": "out"}}
+        sections.setdefault(section, {})[key] = value
+        (tmp_path / "cfg.ini").write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in table.items())
+            for name, table in sections.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", "cfg.ini"])
+        assert code in (0, 2, 3, 4), (section, key, value)
+        assert "Traceback" not in err.getvalue()

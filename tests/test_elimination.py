@@ -139,6 +139,55 @@ class TestNewtonElimination:
         assert np.linalg.norm(p.grad_y(z)) <= 1e-8
 
 
+class TestNewtonLinearization:
+    """Each residual evaluation of the inner Newton is one y-block
+    linearization, and CG products reuse it."""
+
+    def _counted(self, p):
+        calls = {"softmax": 0, "linearization": 0, "products": 0,
+                 "hessian_vec": 0, "gradient": 0}
+        softmax, linearize = p._softmax_weights, p.y_linearization
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        def linearization(z, part=None):
+            g_y, op = count("linearization", linearize)(z, part)
+            return g_y, LinOp(dim=op.dim, apply=count("products", op.apply))
+
+        p._softmax_weights = count("softmax", softmax)
+        p.y_linearization = linearization
+        p.hessian_vec = count("hessian_vec", p.hessian_vec)
+        p.gradient = count("gradient", p.gradient)
+        return calls
+
+    def test_logsumexp_one_softmax_pass_per_residual_evaluation(self):
+        p = LogSumExpProblem(40, 6)
+        calls = self._counted(p)
+        # from this start some Newton steps are damped, so trials outnumber steps
+        res = NewtonElimination(p, inner_tol=1e-8).solve(np.zeros(34), y0=np.linspace(-3, 3, 6))
+        assert res.residual <= 1e-8
+        assert calls["linearization"] > 1 + res.inner_iterations
+        assert calls["softmax"] == calls["linearization"]
+        assert calls["products"] > 0
+        assert calls["hessian_vec"] == calls["gradient"] == 0
+
+    def test_quadratic_matches_direct_solve_on_a22(self):
+        p, part = random_spd_partitioned(11, max_order=20)
+        a22 = p.a[np.ix_(part.y_indices, part.y_indices)]
+        a21 = p.a[np.ix_(part.y_indices, part.x_indices)]
+        elim = NewtonElimination(p, part, inner_tol=1e-11, cg_rel_tol=1e-12)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            x = rng.standard_normal(part.n_x)
+            y = elim.solve(x).y
+            np.testing.assert_allclose(
+                y, np.linalg.solve(a22, p.b[part.y_indices] - a21 @ x), rtol=1e-8, atol=1e-10)
+
+
 class TestScheduledInexactElimination:
     def test_tolerance_schedule_and_floor(self):
         p = LogSumExpProblem(20, 3)

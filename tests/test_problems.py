@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.problems
 from varred.errors import DimensionMismatch, NotSPD
 from varred.linalg import condition_number, spd_check
 from varred.problems import (
@@ -233,3 +234,60 @@ class TestObjectiveSuites:
         g = p.gradient(z)
         assert np.array_equal(p.grad_x(z), g[:3])
         assert np.array_equal(p.grad_y(z), g[3:])
+
+
+def _partitions(n, n_y):
+    perm = np.random.default_rng(n).permutation(n)
+    scattered = BlockPartition(n, np.sort(perm[n_y:]), np.sort(perm[:n_y]))
+    return {
+        "leading": BlockPartition.eliminate_leading(n, n_y),
+        "trailing": BlockPartition.eliminate_trailing(n, n_y),
+        "scattered": scattered,
+        "swapped": scattered.swapped(),
+    }
+
+
+def _assembled(op):
+    return np.column_stack([op(e) for e in np.eye(op.dim)])
+
+
+class TestYLinearization:
+    """(grad_y J, grad_yy J) from one evaluation, against the full gradient
+    and the assembled Hessian."""
+
+    @pytest.mark.parametrize("kind", ["leading", "trailing", "scattered", "swapped"])
+    @pytest.mark.parametrize("make, dense_hessian", [
+        (lambda: LogSumExpProblem(15, 6), lambda p, z: p.dense_hessian(z)),
+        (lambda: build_test_matrix(6, 9, (1, 5), (1, 40), 1e-1, seed=4), lambda p, z: p.a),
+    ], ids=["logsumexp", "quadratic"])
+    def test_matches_full_gradient_and_dense_hessian(self, make, dense_hessian, kind):
+        p = make()
+        part = _partitions(15, 9)[kind]
+        z = np.random.default_rng(3).standard_normal(15) * 0.4
+        g_y, h_yy = p.y_linearization(z, part)
+        assert np.array_equal(g_y, p.gradient(z)[part.y_indices])
+        dense = dense_hessian(p, z)[np.ix_(part.y_indices, part.y_indices)]
+        np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(_assembled(p.hess_yy_op(z, part)), dense,
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_logsumexp_one_softmax_pass(self):
+        p = LogSumExpProblem(50, 7)
+        passes = []
+        softmax = p._softmax_weights
+        p._softmax_weights = lambda z: passes.append(1) or softmax(z)
+        _, h_yy = p.y_linearization(np.full(50, 0.3))
+        for v in np.eye(7):
+            h_yy(v)
+        assert len(passes) == 1
+
+    def test_quadratic_copies_no_submatrix_before_a_product(self, monkeypatch):
+        p = build_test_matrix(4, 6, (1, 5), (1, 20), 1e-1, seed=1)
+        copies = []
+        ix = np.ix_
+        monkeypatch.setattr(varred.problems.np, "ix_", lambda *a: copies.append(1) or ix(*a))
+        _, h_yy = p.y_linearization(np.ones(10))
+        assert copies == []
+        h_yy(np.ones(6))
+        h_yy(np.ones(6))
+        assert len(copies) == 1
