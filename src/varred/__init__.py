@@ -18,7 +18,6 @@ from .linalg import (
     LinOp,
     cg_solve,
     condition_number,
-    random_orthogonal,
     spd_check,
     sym_matrix,
 )
@@ -36,7 +35,6 @@ from .elimination import (
     QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
-    dense_schur_complement,
     exact_map,
     reduced_newton_operator,
 )

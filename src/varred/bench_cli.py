@@ -10,7 +10,6 @@ Verbs:
     sweep-table1      gd / pgd-exact / pgd-inexact over a list of n_el values
     report-condition  kappa_2 of the full matrix, its retained block and the
                       Schur complement for the configured elimination scope
-    selftest          quick invariant battery, exit 0 on success
 
 Exit codes: 0 converged, 2 max-iter, 3 config error, 4 solver failure.
 """
@@ -22,8 +21,9 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,12 +37,12 @@ from .errors import (
 )
 from .elimination import (
     NewtonElimination,
+    QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
-    dense_schur_complement,
     exact_map,
 )
-from .linalg import LinOp, cg_solve, condition_number, random_orthogonal, spd_check
+from .linalg import condition_number
 from .optimizers import (
     ArmijoParams,
     ConvergenceRecord,
@@ -53,7 +53,7 @@ from .optimizers import (
     newton_eliminated,
     pgd_inexact,
 )
-from .problems import BlockPartition, LogSumExpProblem, QuadraticProblem, build_test_matrix
+from .problems import LogSumExpProblem, QuadraticProblem, build_test_matrix
 
 METHODS = ("gd", "pgd-exact", "pgd-inexact", "altmin", "newton-elim")
 PROBLEM_KINDS = ("quadratic", "logsumexp")
@@ -61,42 +61,41 @@ PROBLEM_KINDS = ("quadratic", "logsumexp")
 CSV_HEADER = "iter,fval,grad_norm,rel_grad_norm,step,inner_iters,cum_linear_solves,elapsed_s"
 
 
+def _setting(section: str, default, key: str | None = None):
+    """A config field read from ``[section] key``; the key defaults to the field name."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    # [problem]
-    kind: str = "quadratic"
-    n_x: int = 40
-    n_y: int = 60
-    spec_x_lo: float = 1.0
-    spec_x_hi: float = 10.0
-    spec_y_lo: float = 1.0
-    spec_y_hi: float = 1000.0
-    coupling_eps: float = 1e-2
-    seed: int = 0
-    n: int = 1000
-    n_el: int = 20
-    # [method]
-    method: str = "pgd-exact"
-    eliminate: str = "full"  # "full" or "last:<n_r>"
-    step_mode: str = "auto"  # auto | optimal | armijo
-    z0_fill: float = 0.0
-    inner_tol: float = 1e-10  # exact-elimination tolerance for non-quadratic problems
-    # [stop]
-    rel_grad_tol: float = 1e-6
-    max_iter: int = 50000
-    # [armijo]
-    c1: float = 1e-4
-    shrink: float = 0.5
-    t0: float = 1.0
-    max_trials: int = 60
-    curvature_scaled_init: bool = True
-    # [inexact]
-    tol_init: float = 1e-3
-    rho: float = 0.5
-    # [output]
-    out_dir: str = "runs"
-    history: str = ""  # default name derived from method and problem
-    log: str = "runs.log"
+    kind: str = _setting("problem", "quadratic")
+    n_x: int = _setting("problem", 40)
+    n_y: int = _setting("problem", 60)
+    spec_x_lo: float = _setting("problem", 1.0)
+    spec_x_hi: float = _setting("problem", 10.0)
+    spec_y_lo: float = _setting("problem", 1.0)
+    spec_y_hi: float = _setting("problem", 1000.0)
+    coupling_eps: float = _setting("problem", 1e-2)
+    seed: int = _setting("problem", 0)
+    n: int = _setting("problem", 1000)
+    n_el: int = _setting("problem", 20)
+    method: str = _setting("method", "pgd-exact", key="name")
+    eliminate: str = _setting("method", "full")  # "full" or "last:<n_r>"
+    step_mode: str = _setting("method", "auto")  # auto | optimal | armijo
+    z0_fill: float = _setting("method", 0.0)
+    inner_tol: float = _setting("method", 1e-10)  # exact-elimination tolerance for non-quadratic problems
+    rel_grad_tol: float = _setting("stop", 1e-6)
+    max_iter: int = _setting("stop", 50000)
+    c1: float = _setting("armijo", 1e-4)
+    shrink: float = _setting("armijo", 0.5)
+    t0: float = _setting("armijo", 1.0)
+    max_trials: int = _setting("armijo", 60)
+    curvature_scaled_init: bool = _setting("armijo", True)
+    tol_init: float = _setting("inexact", 1e-3)
+    rho: float = _setting("inexact", 0.5)
+    out_dir: str = _setting("output", "runs", key="dir")
+    history: str = _setting("output", "")  # default name derived from method and problem
+    log: str = _setting("output", "runs.log")
 
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
@@ -156,7 +155,6 @@ class ExperimentConfig:
         return f"logsumexp(n={self.n},n_el={self.n_el})"
 
 
-# section -> key -> (config attribute, parser)
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -166,48 +164,18 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-CONFIG_KEYS: dict[str, dict[str, tuple[str, type | object]]] = {
-    "problem": {
-        "kind": ("kind", str),
-        "n_x": ("n_x", int),
-        "n_y": ("n_y", int),
-        "spec_x_lo": ("spec_x_lo", float),
-        "spec_x_hi": ("spec_x_hi", float),
-        "spec_y_lo": ("spec_y_lo", float),
-        "spec_y_hi": ("spec_y_hi", float),
-        "coupling_eps": ("coupling_eps", float),
-        "seed": ("seed", int),
-        "n": ("n", int),
-        "n_el": ("n_el", int),
-    },
-    "method": {
-        "name": ("method", str),
-        "eliminate": ("eliminate", str),
-        "step_mode": ("step_mode", str),
-        "z0_fill": ("z0_fill", float),
-        "inner_tol": ("inner_tol", float),
-    },
-    "stop": {
-        "rel_grad_tol": ("rel_grad_tol", float),
-        "max_iter": ("max_iter", int),
-    },
-    "armijo": {
-        "c1": ("c1", float),
-        "shrink": ("shrink", float),
-        "t0": ("t0", float),
-        "max_trials": ("max_trials", int),
-        "curvature_scaled_init": ("curvature_scaled_init", _parse_bool),
-    },
-    "inexact": {
-        "tol_init": ("tol_init", float),
-        "rho": ("rho", float),
-    },
-    "output": {
-        "dir": ("out_dir", str),
-        "history": ("history", str),
-        "log": ("log", str),
-    },
-}
+def _config_keys() -> dict[str, dict[str, tuple[str, type | object]]]:
+    """section -> key -> (config attribute, parser), in field order; the parser
+    is the field's type, except for booleans."""
+    types = get_type_hints(ExperimentConfig)
+    keys: dict[str, dict[str, tuple[str, type | object]]] = {}
+    for f in fields(ExperimentConfig):
+        parser = _parse_bool if types[f.name] is bool else types[f.name]
+        keys.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = (f.name, parser)
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -327,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
     except MaxIterReached as exc:
         status = "max-iter"
         record = exc.record
-    except VarredError as exc:  # any breakdown of the solve, logged as a failed run
+    except (VarredError, np.linalg.LinAlgError) as exc:  # any breakdown of the solve, logged as a failed run
         status = f"failed: {exc}"
     elapsed = time.perf_counter() - started
 
@@ -380,11 +348,10 @@ def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
     if problem.n > 2000:
         raise ConfigError("conditioning reports are limited to n <= 2000")
     a11 = problem.a[np.ix_(part.x_indices, part.x_indices)]
-    s, _, _ = dense_schur_complement(problem, part)
     report = ConditioningReport(
         kappa_full=condition_number(problem.a),
         kappa_retained_block=condition_number(a11),
-        kappa_schur=condition_number(s),
+        kappa_schur=condition_number(QuadraticExactElimination(problem, part).s),
         n_retained=part.n_x, n_eliminated=part.n_y)
     if report.kappa_schur > report.kappa_full * (1.0 + 1e-9):
         raise VarredError(
@@ -405,7 +372,6 @@ def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int],
         if not 1 <= n_el < cfg.n:
             raise ConfigError(f"n_el={n_el} must lie in [1, n={cfg.n})")
     out_dir = Path(out) if out is not None else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     methods = ("gd", "pgd-exact", "pgd-inexact")
     table: dict[str, dict[int, RunSummary]] = {m: {} for m in methods}
@@ -430,8 +396,11 @@ def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int],
                 cells.append(f"[{s.status}]")
         lines.append(method + "\t" + "\t".join(cells))
     text = "\n".join(lines) + "\n"
-    with open(out_dir / "table_sweep.tsv", "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out_dir / "table_sweep.tsv", "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the sweep table under {out_dir}: {exc}") from exc
     return table
 
 
@@ -473,86 +442,6 @@ def parse_history_csv(path: str | Path) -> ConvergenceRecord:
     return record
 
 
-# ---------------------------------------------------------------- selftest
-
-def _selftest_checks():
-    rng = np.random.default_rng(20240901)
-
-    def check_cg():
-        a = np.array([[4.0, 1.0], [1.0, 3.0]])
-        r = cg_solve(LinOp.from_matrix(a), np.array([1.0, 2.0]))
-        return np.allclose(a @ r.x, [1.0, 2.0], atol=1e-12)
-
-    def check_orthogonal():
-        q = random_orthogonal(8, 7)
-        return (np.abs(q.T @ q - np.eye(8)).max() < 1e-10
-                and np.array_equal(q, random_orthogonal(8, 7)))
-
-    def check_schur_conditioning():
-        for seed in range(20):
-            r = np.random.default_rng(seed)
-            n = int(r.integers(4, 16))
-            m = r.standard_normal((n, n))
-            a = m @ m.T + 0.1 * np.eye(n)
-            k = int(r.integers(1, n))
-            idx = r.permutation(n)
-            part = BlockPartition(n, np.sort(idx[:k]), np.sort(idx[k:]))
-            prob = QuadraticProblem(a, np.zeros(n), 0.0, part)
-            s, _, _ = dense_schur_complement(prob, part)
-            ev_a = np.linalg.eigvalsh(prob.a)
-            ev_s = np.linalg.eigvalsh(s)
-            slack = 1e-9 * max(1.0, ev_a[-1])
-            if not (ev_a[0] <= ev_s[0] + slack and ev_s[-1] <= ev_a[-1] + slack):
-                return False
-        return True
-
-    def check_gradient_identity():
-        prob = build_test_matrix(4, 5, (1, 4), (1, 9), 1e-1, seed=11)
-        reduced = ReducedObjective(prob)
-        x = rng.standard_normal(4)
-        g = reduced.gradient(x)
-        eps = 1e-6
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = eps
-            fd = (reduced.value(x + e) - reduced.value(x - e)) / (2 * eps)
-            if abs(fd - g[i]) > 1e-5 * max(1.0, abs(fd)):
-                return False
-        return True
-
-    def check_consistency():
-        prob = build_test_matrix(4, 5, (1, 4), (1, 9), 1e-1, seed=3)
-        z_star = np.linalg.solve(prob.a, prob.b)
-        elim = NewtonElimination(prob, prob.partition, inner_tol=1e-8)
-        res = elim.solve(z_star[:4], y0=z_star[4:])
-        return res.inner_iterations == 0 and np.array_equal(res.y, z_star[4:])
-
-    def check_spd():
-        return spd_check(np.eye(3)) and not spd_check(np.diag([1.0, -1.0]))
-
-    return [
-        ("cg solves a hand-checked 2x2 system", check_cg),
-        ("random orthogonal is orthogonal and deterministic", check_orthogonal),
-        ("schur complement never worsens conditioning", check_schur_conditioning),
-        ("reduced gradient matches finite differences", check_gradient_identity),
-        ("elimination at the optimum is a fixed point", check_consistency),
-        ("spd check accepts/rejects correctly", check_spd),
-    ]
-
-
-def run_selftest() -> int:
-    failures = 0
-    for name, fn in _selftest_checks():
-        try:
-            ok = fn()
-        except Exception as exc:  # a crash is a failure, keep going
-            ok = False
-            name = f"{name} ({type(exc).__name__}: {exc})"
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 4
-
-
 # ---------------------------------------------------------------- CLI
 
 def _add_common_flags(sub):
@@ -565,11 +454,11 @@ def _add_common_flags(sub):
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.out_dir = args.out
-    if getattr(args, "method", None) is not None:
+    if args.method is not None:
         cfg.method = args.method
     return cfg.validate()
 
@@ -596,42 +485,41 @@ def main(argv: list[str] | None = None) -> int:
                             help="conditioning report for a quadratic problem")
     _add_common_flags(rep_p)
 
-    subs.add_parser("selftest", help="run the invariant battery")
-
     args = parser.parse_args(argv)
-    try:
-        if args.verb == "selftest":
-            return run_selftest()
-        cfg = _load_config(args)
-        if args.verb == "run":
-            summary, _ = run_experiment(cfg)
-            if summary.status == "converged":
+    # a non-finite result still raises NonFinite (as_vector, sym_matrix); numpy's
+    # warnings on the way there would only break the one-line messages
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cfg = _load_config(args)
+            if args.verb == "run":
+                summary, _ = run_experiment(cfg)
+                if summary.status == "converged":
+                    return 0
+                return 2 if summary.status == "max-iter" else 4
+            if args.verb == "report-condition":
+                report = conditioning_report(cfg)
+                print(report)
                 return 0
-            return 2 if summary.status == "max-iter" else 4
-        if args.verb == "report-condition":
-            report = conditioning_report(cfg)
-            print(report)
-            return 0
-        if args.verb == "sweep-table1":
-            try:
-                values = [int(tok) for tok in args.n_el.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"bad --n-el list {args.n_el!r}") from exc
-            table = run_table1_sweep(cfg, values)
-            with open(Path(cfg.out_dir) / "table_sweep.tsv", encoding="utf-8") as fh:
-                print(fh.read(), end="")
-            statuses = [s.status for per in table.values() for s in per.values()]
-            if any(st.startswith("failed") for st in statuses):
-                return 4
-            if any(st == "max-iter" for st in statuses):
-                return 2
-            return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except VarredError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 4
+            if args.verb == "sweep-table1":
+                try:
+                    values = [int(tok) for tok in args.n_el.split(",") if tok.strip()]
+                except ValueError as exc:
+                    raise ConfigError(f"bad --n-el list {args.n_el!r}") from exc
+                table = run_table1_sweep(cfg, values)
+                with open(Path(cfg.out_dir) / "table_sweep.tsv", encoding="utf-8") as fh:
+                    print(fh.read(), end="")
+                statuses = [s.status for per in table.values() for s in per.values()]
+                if any(st.startswith("failed") for st in statuses):
+                    return 4
+                if any(st == "max-iter" for st in statuses):
+                    return 2
+                return 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 3
+        except (VarredError, np.linalg.LinAlgError) as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 4
     raise AssertionError("unreachable verb")
 
 

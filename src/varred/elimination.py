@@ -339,16 +339,3 @@ def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray)
         return hv[part.x_indices] - obj.hessian_vec(z, part.lift_y(s))[part.x_indices]
 
     return LinOp(dim=part.n_x, apply=apply)
-
-
-def dense_schur_complement(problem: QuadraticProblem,
-                           partition: BlockPartition | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Assembled (S, b~, c~) with S = A11 - A12 A22^{-1} A21, so that
-    J~(x) = x'Sx / 2 + b~'x + c~.
-
-    Taken from the condensation of :class:`QuadraticExactElimination`, so it
-    is not independent of that map; tests of the map compare it with the
-    inverse of the x-block of A^{-1} instead.
-    """
-    elim = QuadraticExactElimination(problem, partition)
-    return elim.s, elim.b_tilde, elim.c_tilde

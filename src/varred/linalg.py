@@ -55,10 +55,6 @@ class LinOp:
         a = np.asarray(a, dtype=float)
         return cls(dim=a.shape[0], apply=lambda v: a @ v)
 
-    @classmethod
-    def identity(cls, dim: int) -> "LinOp":
-        return cls(dim=dim, apply=lambda v: v.copy())
-
 
 @dataclass
 class CGResult:
@@ -150,13 +146,6 @@ def orthogonal_from_rng(rng: np.random.Generator, order: int) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
-
-
-def random_orthogonal(order: int, seed: int) -> np.ndarray:
-    """Deterministic random orthogonal matrix (PCG64 stream from ``seed``)."""
-    if order < 1:
-        raise DimensionMismatch("order must be >= 1")
-    return orthogonal_from_rng(np.random.default_rng(seed), order)
 
 
 def spd_check(m: np.ndarray) -> bool:

@@ -103,12 +103,6 @@ class ConvergenceRecord:
     def final(self) -> RecordRow:
         return self.rows[-1]
 
-    def fvals(self) -> np.ndarray:
-        return np.array([r.fval for r in self.rows])
-
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.rows])
-
 
 class _Recorder:
     """Accumulates record rows from row 0 at (fval0, grad_norm0, x0) on,

@@ -3,7 +3,7 @@
 An objective is a twice continuously differentiable function J(z) on R^n
 exposing values, gradients and Hessian-vector products.  A
 :class:`BlockPartition` splits z = (x, y) into retained variables x and
-eliminated variables y; partial gradients and block Hessian operators are
+eliminated variables y; the y-block gradient and Hessian operator are
 derived from the full ones by embedding/slicing, so any objective with a
 Hessian-vector product supports elimination.
 """
@@ -100,8 +100,9 @@ class BlockPartition:
 class Objective:
     """Evaluation bundle for a twice differentiable J on R^n.
 
-    Subclasses implement ``value``, ``gradient`` and ``hessian_vec``; block
-    quantities (partial gradients, block Hessian operators) are derived here.
+    Subclasses implement ``value``, ``gradient`` and ``hessian_vec``; the
+    y-block quantities of a partition (:meth:`y_linearization`,
+    :meth:`hess_yy_op`) are derived here from the full ones.
     ``partition`` is the problem's natural split; elimination machinery may
     override it with any other :class:`BlockPartition`.
     """
@@ -125,27 +126,11 @@ class Objective:
         if z.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}, got shape {z.shape}")
 
-    def grad_x(self, z: np.ndarray, part: BlockPartition | None = None) -> np.ndarray:
-        part = part or self.partition
-        return self.gradient(z)[part.x_indices]
-
-    def grad_y(self, z: np.ndarray, part: BlockPartition | None = None) -> np.ndarray:
-        part = part or self.partition
-        return self.gradient(z)[part.y_indices]
-
-    def block_hessian_op(self, z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> LinOp:
-        """Operator v -> [H(z) E_cols v]_rows built from the full HVP."""
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            lifted = np.zeros(self.n)
-            lifted[cols] = v
-            return self.hessian_vec(z, lifted)[rows]
-
-        return LinOp(dim=rows.size, apply=apply)
-
     def hess_yy_op(self, z: np.ndarray, part: BlockPartition | None = None) -> LinOp:
+        """grad_yy J(z) as the operator v -> [H(z) E_y v]_y of the full HVP."""
         part = part or self.partition
-        return self.block_hessian_op(z, part.y_indices, part.y_indices)
+        return LinOp(dim=part.n_y,
+                     apply=lambda v: self.hessian_vec(z, part.lift_y(v))[part.y_indices])
 
     def y_linearization(self, z: np.ndarray,
                         part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
@@ -195,10 +180,11 @@ class QuadraticProblem(Objective):
     def hessian_vec(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.a @ v
 
-    def block_hessian_op(self, z, rows, cols) -> LinOp:
-        # the submatrix is copied on the first product, not when the operator is made
-        sub = functools.cache(lambda: self.a[np.ix_(rows, cols)])
-        return LinOp(dim=rows.size, apply=lambda v: sub() @ v)
+    def hess_yy_op(self, z: np.ndarray, part: BlockPartition | None = None) -> LinOp:
+        y = (part or self.partition).y_indices
+        # A22 is copied on the first product, not when the operator is made
+        a22 = functools.cache(lambda: self.a[np.ix_(y, y)])
+        return LinOp(dim=y.size, apply=lambda v: a22() @ v)
 
     def blocks(self, part: BlockPartition | None = None):
         """(A11, A12, A21, A22, b1, b2) under the given partition."""

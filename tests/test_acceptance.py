@@ -17,7 +17,6 @@ from varred.elimination import (
     QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
-    dense_schur_complement,
 )
 from varred.errors import MaxIterReached
 from varred.linalg import LinOp, cg_solve, sym_matrix
@@ -171,7 +170,7 @@ def test_criterion_6_schur_conditioning_suite():
         perm = rng.permutation(n)
         part = BlockPartition(n, np.sort(perm[:k]), np.sort(perm[k:]))
         problem = QuadraticProblem(a, rng.standard_normal(n), 0.0, part)
-        s, _, _ = dense_schur_complement(problem, part)
+        s = QuadraticExactElimination(problem, part).s
         ev_a = np.linalg.eigvalsh(a)
         ev_s = np.linalg.eigvalsh(s)
         ok &= ev_a[0] <= ev_s[0] + 1e-9
@@ -205,7 +204,7 @@ def test_criterion_7_rate_bounds():
         reduced = ReducedObjective(problem)
         _, rec_pgd = gradient_descent(reduced, np.zeros(n_x), STOP,
                                       step_mode="optimal_quadratic", keep_iterates=True)
-        s, _, _ = dense_schur_complement(problem)
+        s = QuadraticExactElimination(problem).s
         ev_s = np.linalg.eigvalsh(s)
         ok_pgd = check_rate_bound(rec_pgd, ev_s[-1] / ev_s[0], z_star[:n_x], rec_pgd.iterates)
         ok &= ok_gd and ok_pgd

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import math
+import os
 import string
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ from varred.bench_cli import (
 from varred.errors import ConfigError, VarredError
 from varred.optimizers import ConvergenceRecord, RecordRow
 from varred.problems import QuadraticProblem
+
+ROOT = Path(__file__).resolve().parents[1]
+HUGE = "1.7976931348623157e+308"
 
 SMALL_QUADRATIC = """
 [problem]
@@ -282,7 +289,7 @@ class TestCLI:
         "removed inner solver": "[inexact]\ninner = gd-fixed\n",
         "removed gd_steps": "[inexact]\ngd_steps = 5\n",
         "seed = -1": "[problem]\nseed = -1\n",
-        "overflowing spectrum": small_inexact(problem="spec_y_hi = 1.7976931348623157e+308\n"),
+        "overflowing spectrum": small_inexact(problem=f"spec_y_hi = {HUGE}\n"),
     }
 
     def test_config_error_exit_three(self, tmp_path, capsys):
@@ -293,12 +300,17 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("config error") and len(err.splitlines()) == 1, case
 
-    @pytest.mark.parametrize("output", ["dir = blocker", "log = .", "history = blocker/sub"])
-    def test_unwritable_output_exit_three(self, tmp_path, capsys, monkeypatch, output):
+    @pytest.mark.parametrize("verb, output", [
+        ("run", "dir = blocker"), ("run", "log = ."), ("run", "history = blocker/sub"),
+        ("sweep-table1", "dir = blocker"), ("sweep-table1", "dir = blocker/sub"),
+    ], ids=["dir = blocker", "log = .", "history = blocker/sub",
+            "sweep-table1 dir = blocker", "sweep-table1 dir = blocker/sub"])
+    def test_unwritable_output_exit_three(self, tmp_path, capsys, monkeypatch, verb, output):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "blocker").write_text("")
         (tmp_path / "cfg.ini").write_text(SMALL_QUADRATIC + f"[output]\n{output}\n")
-        assert main(["run", "--config", "cfg.ini"]) == 3
+        n_el = ["--n-el", "5"] if verb == "sweep-table1" else []
+        assert main([verb, "--config", "cfg.ini", *n_el]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error") and len(err.splitlines()) == 1
 
@@ -335,9 +347,9 @@ dir = {out}
         assert main(["run", "--config", str(path)]) == 4
 
     @pytest.mark.parametrize("breakdown", ["negative curvature", "ascent direction",
-                                           "overflow at the start point"])
+                                           "overflow at the start point", "singular A22"])
     def test_solver_breakdown_logged_exit_four(self, tmp_path, capsys, monkeypatch, breakdown):
-        method_lines = "step_mode = optimal"
+        method, method_lines = "gd", "step_mode = optimal"
         if breakdown == "negative curvature":
             # the optimal step meets d'Hd < 0 and raises DegenerateCurvature
             monkeypatch.setattr(QuadraticProblem, "hessian_vec", lambda self, z, v: -(self.a @ v))
@@ -345,14 +357,22 @@ dir = {out}
             # an ascent direction reaches armijo_search, which raises NotDescentDirection
             monkeypatch.setattr(varred.optimizers, "_steepest", lambda x, g: g)
             method_lines = "step_mode = armijo"
-        else:
+        elif breakdown == "overflow at the start point":
             # A z overflows, and the step rule meets a non-finite gradient
-            method_lines += "\nz0_fill = 1.7976931348623157e+308"
+            method_lines += f"\nz0_fill = {HUGE}"
+        else:
+            # LAPACK's LU can find A22 singular where the Cholesky check of A passed,
+            # e.g. on a 4/6 quadratic with spec_y_hi = 1e18
+            def singular(*args, **kwargs):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", singular)
+            method = "pgd-exact"
         path = tmp_path / "cfg.ini"
         path.write_text(SMALL_QUADRATIC.replace(
             "eliminate = full", f"eliminate = full\n{method_lines}"))
         out = tmp_path / "o"
-        assert main(["run", "--config", str(path), "--method", "gd", "--out", str(out)]) == 4
+        assert main(["run", "--config", str(path), "--method", method, "--out", str(out)]) == 4
         assert "Traceback" not in capsys.readouterr().err
         log_lines = (out / "runs.log").read_text().splitlines()
         assert len(log_lines) == 1
@@ -365,17 +385,32 @@ dir = {out}
         out = capsys.readouterr().out
         assert "kappa2(A)" in out and "kappa2(S)" in out
 
-    def test_selftest_verb(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
     def test_sweep_verb(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text("[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
                         f"[output]\ndir = {tmp_path / 'o'}\n")
         assert main(["sweep-table1", "--config", str(path), "--n-el", "4,8"]) == 0
         assert "pgd-inexact" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb, config, code", [
+        ("run", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
+        ("report-condition", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
+        ("run", f"[problem]\nn_x = 4\nn_y = 6\n[method]\nname = pgd-exact\nz0_fill = {HUGE}\n", 4),
+    ], ids=["run overflowing spectrum", "report overflowing spectrum", "overflowing start point"])
+    def test_no_numpy_warning_on_stderr(self, tmp_path, verb, config, code):
+        # a process of its own, so that numpy's warnings reach stderr uncaptured
+        (tmp_path / "cfg.ini").write_text(config + "[output]\ndir = out\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "varred.bench_cli", verb, "--config", "cfg.ini"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == 3:
+            assert proc.stderr.startswith("config error") and len(proc.stderr.splitlines()) == 1
+        else:
+            assert proc.stderr == ""
+            log_lines = (tmp_path / "out" / "runs.log").read_text().splitlines()
+            assert len(log_lines) == 1 and log_lines[0].split("\t")[-1].startswith("failed: ")
 
 
 def _bad_values(section: str, typ):

@@ -8,7 +8,7 @@ from varred.linalg import (
     LinOp,
     cg_solve,
     condition_number,
-    random_orthogonal,
+    orthogonal_from_rng,
     spd_check,
     sym_matrix,
 )
@@ -23,7 +23,7 @@ def random_spd(rng, n, spectrum=None):
 class TestCG:
     def test_identity_one_iteration(self):
         rhs = np.array([1.0, -2.0, 3.0, 0.5, -0.1])
-        res = cg_solve(LinOp.identity(5), rhs, x0=np.zeros(5))
+        res = cg_solve(LinOp.from_matrix(np.eye(5)), rhs, x0=np.zeros(5))
         assert res.iterations == 1
         np.testing.assert_allclose(res.x, rhs, rtol=0, atol=1e-14)
 
@@ -39,7 +39,7 @@ class TestCG:
         assert np.linalg.norm(a @ res.x - [1.0, 2.0]) <= 1e-12 * np.linalg.norm([1.0, 2.0])
 
     def test_zero_rhs(self):
-        res = cg_solve(LinOp.identity(3), np.zeros(3))
+        res = cg_solve(LinOp.from_matrix(np.eye(3)), np.zeros(3))
         assert res.iterations == 0
         assert np.all(res.x == 0.0)
 
@@ -111,19 +111,23 @@ class TestConditionNumber:
 
 
 class TestRandomOrthogonal:
+    """orthogonal_from_rng, which build_test_matrix draws its blocks' eigenbases from."""
+
     def test_order_one_is_sign(self):
-        q = random_orthogonal(1, 3)
+        q = orthogonal_from_rng(np.random.default_rng(3), 1)
         assert abs(abs(q[0, 0]) - 1.0) <= 1e-14
 
     def test_orthogonality(self):
-        q = random_orthogonal(5, 42)
+        q = orthogonal_from_rng(np.random.default_rng(42), 5)
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-10
 
     def test_determinism(self):
-        assert np.array_equal(random_orthogonal(7, 123), random_orthogonal(7, 123))
+        assert np.array_equal(orthogonal_from_rng(np.random.default_rng(123), 7),
+                              orthogonal_from_rng(np.random.default_rng(123), 7))
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(random_orthogonal(5, 0), random_orthogonal(5, 1))
+        assert not np.array_equal(orthogonal_from_rng(np.random.default_rng(0), 5),
+                                  orthogonal_from_rng(np.random.default_rng(1), 5))
 
 
 class TestSPDCheck:

@@ -228,13 +228,6 @@ class TestObjectiveSuites:
             hv = obj.hessian_vec(z, v)
             assert np.linalg.norm(hv - fd_h) <= 1e-4 * max(1.0, np.linalg.norm(fd_h))
 
-    def test_partial_gradients_slice_full_gradient(self):
-        p = build_test_matrix(3, 5, (1, 4), (1, 6), 1e-1, seed=2)
-        z = np.random.default_rng(0).standard_normal(8)
-        g = p.gradient(z)
-        assert np.array_equal(p.grad_x(z), g[:3])
-        assert np.array_equal(p.grad_y(z), g[3:])
-
 
 def _partitions(n, n_y):
     perm = np.random.default_rng(n).permutation(n)
