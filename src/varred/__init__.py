@@ -29,7 +29,6 @@ from .problems import (
     build_test_matrix,
 )
 from .elimination import (
-    EliminationMap,
     EliminationResult,
     NewtonElimination,
     QuadraticExactElimination,

@@ -90,7 +90,6 @@ class ExperimentConfig:
     shrink: float = _setting("armijo", 0.5)
     t0: float = _setting("armijo", 1.0)
     max_trials: int = _setting("armijo", 60)
-    curvature_scaled_init: bool = _setting("armijo", True)
     tol_init: float = _setting("inexact", 1e-3)
     rho: float = _setting("inexact", 0.5)
     out_dir: str = _setting("output", "runs", key="dir")
@@ -139,8 +138,7 @@ class ExperimentConfig:
 
     def armijo_params(self) -> ArmijoParams:
         return ArmijoParams(c1=self.c1, shrink=self.shrink, t0=self.t0,
-                            max_trials=self.max_trials,
-                            curvature_scaled_init=self.curvature_scaled_init)
+                            max_trials=self.max_trials)
 
     @property
     def scope_n_r(self) -> int | None:
@@ -155,23 +153,13 @@ class ExperimentConfig:
         return f"logsumexp(n={self.n},n_el={self.n_el})"
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _config_keys() -> dict[str, dict[str, tuple[str, type | object]]]:
+def _config_keys() -> dict[str, dict[str, tuple[str, type]]]:
     """section -> key -> (config attribute, parser), in field order; the parser
-    is the field's type, except for booleans."""
+    is the field's type."""
     types = get_type_hints(ExperimentConfig)
-    keys: dict[str, dict[str, tuple[str, type | object]]] = {}
+    keys: dict[str, dict[str, tuple[str, type]]] = {}
     for f in fields(ExperimentConfig):
-        parser = _parse_bool if types[f.name] is bool else types[f.name]
-        keys.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = (f.name, parser)
+        keys.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = (f.name, types[f.name])
     return keys
 
 

@@ -3,9 +3,12 @@ objective J~(x) = J(x, h(x)).
 
 An elimination map produces, for given retained variables x, eliminated
 variables y with (approximately) vanishing partial gradient grad_y J(x, y).
-Maps carry warm-start state and work counters, so a map instance is confined
-to a single optimizer run; distinct instances over the same (immutable)
-problem may run concurrently.
+Every map has a ``partition``, ``counters`` and ``solve(x)``; iterative maps
+reach the block only through :meth:`Objective.y_linearization` and return a
+warm start that already meets the active tolerance unchanged, with zero inner
+iterations.  Maps carry warm-start state and work counters, so a map instance
+is confined to a single optimizer run; distinct instances over the same
+(immutable) problem may run concurrently.
 """
 
 from __future__ import annotations
@@ -38,25 +41,9 @@ class EliminationResult:
     y: np.ndarray
     residual: float  # ||grad_y J(x, y)||_2 at the returned point
     inner_iterations: int
-    linear_solves: int
 
 
-class EliminationMap:
-    """Base class: produce y from x with a reported inner residual.
-
-    Consistency contract of iterative maps: if the warm start already meets
-    the active tolerance, it is returned unchanged with zero inner iterations.
-    """
-
-    partition: BlockPartition
-    counters: WorkCounters
-
-    def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
-              tol: float | None = None) -> EliminationResult:
-        raise NotImplementedError
-
-
-class QuadraticExactElimination(EliminationMap):
+class QuadraticExactElimination:
     """Static condensation for a quadratic problem: h(x) = A22^{-1}(b2 - A21 x).
 
     A22 never changes, so the constructor makes one dense solve against
@@ -86,14 +73,14 @@ class QuadraticExactElimination(EliminationMap):
             raise DimensionMismatch("x has the wrong length for this partition")
         y = self.u - self.w @ x
         residual = float(np.linalg.norm(self.a22 @ y - (self.b2 - self.a21 @ x)))
-        return EliminationResult(y, residual, 0, 0)
+        return EliminationResult(y, residual, 0)
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
         """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
         return self.s @ as_vector(v)
 
 
-class NewtonElimination(EliminationMap):
+class NewtonElimination:
     """Damped inexact Newton on grad_y J(x, .) = 0, down to residual ``inner_tol``.
 
     Each residual evaluation is one :meth:`Objective.y_linearization`, and
@@ -162,26 +149,27 @@ class NewtonElimination(EliminationMap):
             self.counters.linear_solves += solves
 
         self._warm = y.copy()
-        return EliminationResult(y, res, steps, solves)
+        return EliminationResult(y, res, steps)
 
 
-class ScheduledInexactElimination(EliminationMap):
+class ScheduledInexactElimination:
     """Inexact elimination with a geometric tolerance schedule and warm starts.
 
-    The active tolerance starts at ``tol_init`` and is multiplied by ``rho``
-    after each accepted outer step, floored at ``floor`` so inner work stays
-    bounded.  The warm start is updated to the y returned at each accepted
-    outer iterate.
+    :meth:`reset` starts a run from a warm start, at tolerance ``tol_init``,
+    with the ``floor`` its outer method derives from its own tolerance.  The
+    tolerance is multiplied by ``rho`` after each accepted outer step, floored
+    so inner work stays bounded, and the warm start becomes the y returned at
+    each accepted outer iterate.
     """
 
-    def __init__(self, inner: EliminationMap, tol_init: float = 1e-3,
-                 rho: float = 0.5, floor: float = 0.0):
+    def __init__(self, inner: NewtonElimination, tol_init: float = 1e-3,
+                 rho: float = 0.5):
         self.check_rho(rho)
         self.inner = inner
         self.partition = inner.partition
         self.tol_init = tol_init
         self.rho = rho
-        self.floor = floor
+        self.floor = 0.0
         self.tol_current = tol_init
         self._warm = np.zeros(self.partition.n_y)
 
@@ -194,19 +182,16 @@ class ScheduledInexactElimination(EliminationMap):
     def counters(self) -> WorkCounters:
         return self.inner.counters
 
-    def reset(self, y0: np.ndarray | None = None):
+    def reset(self, y0: np.ndarray, floor: float):
+        self._warm = as_vector(y0).copy()
+        self.floor = floor
         self.tol_current = self.tol_init
-        if y0 is not None:
-            self._warm = as_vector(y0).copy()
 
     def effective_tol(self) -> float:
         return max(self.tol_current, self.floor)
 
-    def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
-              tol: float | None = None) -> EliminationResult:
-        start = self._warm if y0 is None else as_vector(y0)
-        eff = tol if tol is not None else self.effective_tol()
-        return self.inner.solve(x, y0=start, tol=eff)
+    def solve(self, x: np.ndarray) -> EliminationResult:
+        return self.inner.solve(x, y0=self._warm, tol=self.effective_tol())
 
     def accept(self, y: np.ndarray):
         """Register an accepted outer step: update warm start, shrink tolerance."""
@@ -215,7 +200,7 @@ class ScheduledInexactElimination(EliminationMap):
 
 
 def exact_map(objective: Objective, partition: BlockPartition,
-              inner_tol: float = 1e-10) -> EliminationMap:
+              inner_tol: float = 1e-10) -> QuadraticExactElimination | NewtonElimination:
     """The exact elimination map for an objective: direct static condensation
     for quadratics, damped Newton down to ``inner_tol`` otherwise."""
     if isinstance(objective, QuadraticProblem):
@@ -225,7 +210,8 @@ def exact_map(objective: Objective, partition: BlockPartition,
 
 class ReducedObjective:
     """J~(x) = J(x, h(x)) with gradient grad_x J(x, h(x)); the one place that
-    knows how the reduced objective is evaluated.
+    knows how the reduced objective is evaluated, through any map of this
+    module (``elim``; :func:`exact_map` by default).
 
     For exact maps the gradient is the true gradient of J~ (the cross term
     vanishes because grad_y J(x, h(x)) = 0); for inexact maps it is the
@@ -237,7 +223,7 @@ class ReducedObjective:
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
-                 elim: EliminationMap | None = None):
+                 elim=None):
         self.objective = objective
         self.partition = partition or objective.partition
         self.elim = exact_map(objective, self.partition) if elim is None else elim
@@ -274,9 +260,6 @@ class ReducedObjective:
     def eliminated_point(self, x: np.ndarray) -> np.ndarray:
         return self._ensure(x)[1]
 
-    def inner_residual(self, x: np.ndarray) -> float:
-        return self._ensure(x)[4]
-
     def accept(self, x: np.ndarray) -> bool:
         """Register x as the next outer iterate.
 
@@ -295,7 +278,7 @@ class ReducedObjective:
         the inexact gradient is consistent with the outer tolerance.  Always
         true for maps without a schedule."""
         return (not isinstance(self.elim, ScheduledInexactElimination)
-                or self.inner_residual(x) <= self.elim.floor)
+                or self._ensure(x)[4] <= self.elim.floor)
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """Reduced Hessian product S v with the Schur complement S that an
@@ -331,7 +314,7 @@ def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray)
 
     with one y-block CG solve, at the default relative tolerance 1e-12, per
     application."""
-    h_yy = obj.hess_yy_op(z, part)
+    h_yy = obj.y_linearization(z, part)[1]
 
     def apply(v: np.ndarray) -> np.ndarray:
         hv = obj.hessian_vec(z, part.lift_x(v))

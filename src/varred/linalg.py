@@ -66,13 +66,13 @@ class CGResult:
 def cg_solve(
     op: LinOp,
     rhs: np.ndarray,
-    x0: np.ndarray | None = None,
     rel_tol: float = DEFAULT_CG_TOL,
     max_iter: int | None = None,
 ) -> CGResult:
     """Conjugate gradients for SPD ``op``, stopping at ||op x - rhs|| <= rel_tol ||rhs||.
 
-    The recurrence residual is refreshed against the true residual every 50
+    CG starts from x = 0, so its first residual is rhs itself.  The
+    recurrence residual is refreshed against the true residual every 50
     iterations to guard against drift at tight tolerances.  Raises
     :class:`NonConvergence` (carrying the final residual) if the budget is
     exhausted.
@@ -90,15 +90,10 @@ def cg_solve(
     if rhs_norm == 0.0:
         return CGResult(np.zeros(n), 0, 0.0)
 
-    x = np.zeros(n) if x0 is None else as_vector(x0).copy()
-    r = rhs - op(x)
-    res = float(np.linalg.norm(r))
+    x = np.zeros(n)
+    r, p = rhs.copy(), rhs.copy()
+    res, rr = rhs_norm, rhs_norm * rhs_norm
     target = rel_tol * rhs_norm
-    if res <= target:
-        return CGResult(x, 0, res)
-
-    p = r.copy()
-    rr = res * res
     for k in range(1, max_iter + 1):
         ap = op(p)
         pap = float(p @ ap)

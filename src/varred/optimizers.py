@@ -9,15 +9,15 @@ eliminated block of the optimality conditions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateCurvature, LineSearchFailure, MaxIterReached, NotDescentDirection
+from .errors import DegenerateCurvature, LineSearchFailure, MaxIterReached, NonFinite, NotDescentDirection
 from .elimination import (
-    EliminationMap,
     ReducedObjective,
     ScheduledInexactElimination,
     WorkCounters,
@@ -31,18 +31,17 @@ from .problems import BlockPartition, Objective
 class ArmijoParams:
     """Backtracking line-search parameters.
 
-    ``t0`` is the initial trial step.  With ``curvature_scaled_init`` the
-    first iteration instead starts from t0 / (curvature along the search
-    direction), after which each search starts from the previously accepted
-    step; this keeps the method at the plain-backtracking fixed-step scale
-    rather than silently behaving like an exact line search.
+    ``t0`` is the initial trial step, scaled on the first iteration to
+    t0 / (curvature along the search direction); each later search starts
+    from the previously accepted step.  This keeps the method at the
+    plain-backtracking fixed-step scale rather than silently behaving like an
+    exact line search.
     """
 
     c1: float = 1e-4
     shrink: float = 0.5
     t0: float = 1.0
     max_trials: int = 60
-    curvature_scaled_init: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.c1 < 1.0:
@@ -61,7 +60,8 @@ class StopRule:
 
     Terminates when ||g_k|| <= max(rel_grad_tol * ||g_0||, 1e-12); the
     absolute floor makes runs started at (or numerically on top of) a
-    stationary point terminate instead of dividing by their own noise.
+    stationary point terminate instead of dividing by their own noise.  A
+    non-finite gradient norm raises :class:`NonFinite`.
     """
 
     rel_grad_tol: float = 1e-6
@@ -72,6 +72,8 @@ class StopRule:
             raise ValueError("rel_grad_tol must be positive")
 
     def met(self, grad_norm: float, grad_norm0: float) -> bool:
+        if not math.isfinite(grad_norm):
+            raise NonFinite(f"gradient norm is {grad_norm}")
         return grad_norm <= max(self.rel_grad_tol * grad_norm0, 1e-12)
 
 
@@ -215,7 +217,7 @@ def _armijo_step(obj, p: ArmijoParams, t_first: float | None = None):
         nonlocal t_next
         t0 = t_next
         if t0 is None:
-            lam = obj.curvature_along(x, d) if p.curvature_scaled_init else 0.0
+            lam = obj.curvature_along(x, d)
             t0 = p.t0 / lam if lam > 0.0 else p.t0
         t, val, _ = armijo_search(obj.value, x, d, g, p, t0=t0, f_x=val)
         if t_first is None:
@@ -296,10 +298,8 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     the descent direction's inexactness is consistent with the outer
     tolerance.
     """
-    elim.reset(as_vector(y0))
-    if elim.floor <= 0.0:
-        # inner residual floor two decades below the outer relative tolerance
-        elim.floor = 1e-2 * stop.rel_grad_tol
+    # inner residual floor two decades below the outer relative tolerance
+    elim.reset(y0, floor=1e-2 * stop.rel_grad_tol)
     reduced = ReducedObjective(obj, part, elim)
     x, record = _descend(reduced, as_vector(x0).copy(), stop, _steepest,
                          _armijo_step(reduced, p or ArmijoParams()), keep_iterates,
@@ -349,7 +349,7 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
 
 
 def newton_eliminated(obj: Objective, part: BlockPartition,
-                      elim: EliminationMap | None = None,
+                      elim=None,
                       x0: np.ndarray | None = None,
                       stop: StopRule | None = None,
                       p: ArmijoParams | None = None,

@@ -100,9 +100,10 @@ class BlockPartition:
 class Objective:
     """Evaluation bundle for a twice differentiable J on R^n.
 
-    Subclasses implement ``value``, ``gradient`` and ``hessian_vec``; the
-    y-block quantities of a partition (:meth:`y_linearization`,
-    :meth:`hess_yy_op`) are derived here from the full ones.
+    Subclasses implement ``value``, ``gradient`` and ``hessian_vec``.
+    :meth:`y_linearization` is the one accessor of the eliminated block of a
+    partition; it is derived here from the full quantities, and subclasses
+    may override it with a cheaper evaluation of the same two objects.
     ``partition`` is the problem's natural split; elimination machinery may
     override it with any other :class:`BlockPartition`.
     """
@@ -126,21 +127,17 @@ class Objective:
         if z.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}, got shape {z.shape}")
 
-    def hess_yy_op(self, z: np.ndarray, part: BlockPartition | None = None) -> LinOp:
-        """grad_yy J(z) as the operator v -> [H(z) E_y v]_y of the full HVP."""
-        part = part or self.partition
-        return LinOp(dim=part.n_y,
-                     apply=lambda v: self.hessian_vec(z, part.lift_y(v))[part.y_indices])
-
     def y_linearization(self, z: np.ndarray,
                         part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
         """(grad_y J(z), grad_yy J(z) as an operator) from one evaluation at z.
 
-        Here: the sliced full gradient and :meth:`hess_yy_op`.  Neither block
-        operator does any work before its first product, so a caller that only
-        needs the gradient pays nothing for the operator."""
+        Here: the sliced full gradient and v -> [H(z) E_y v]_y through the
+        full HVP.  No block operator does any work before its first product,
+        so a caller that only needs the gradient pays nothing for the operator."""
         part = part or self.partition
-        return self.gradient(z)[part.y_indices], self.hess_yy_op(z, part)
+        y = part.y_indices
+        op = LinOp(dim=y.size, apply=lambda v: self.hessian_vec(z, part.lift_y(v))[y])
+        return self.gradient(z)[y], op
 
     def curvature_along(self, z: np.ndarray, d: np.ndarray) -> float:
         """Rayleigh quotient d'H(z)d / d'd."""
@@ -180,11 +177,13 @@ class QuadraticProblem(Objective):
     def hessian_vec(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.a @ v
 
-    def hess_yy_op(self, z: np.ndarray, part: BlockPartition | None = None) -> LinOp:
+    def y_linearization(self, z: np.ndarray,
+                        part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
+        """(A z - b)_y and v -> A22 v."""
         y = (part or self.partition).y_indices
         # A22 is copied on the first product, not when the operator is made
         a22 = functools.cache(lambda: self.a[np.ix_(y, y)])
-        return LinOp(dim=y.size, apply=lambda v: a22() @ v)
+        return self.gradient(z)[y], LinOp(dim=y.size, apply=lambda v: a22() @ v)
 
     def blocks(self, part: BlockPartition | None = None):
         """(A11, A12, A21, A22, b1, b2) under the given partition."""
@@ -290,9 +289,6 @@ class LogSumExpProblem(Objective):
         bg = self.b_coeffs[y] * g_soft
         op = LinOp(dim=y.size, apply=lambda v: bg * v - g_soft * float(g_soft @ v) + d * v)
         return g_soft + d * z[y], op
-
-    def hess_yy_op(self, z: np.ndarray, part: BlockPartition | None = None) -> LinOp:
-        return self.y_linearization(z, part)[1]
 
     def dense_hessian(self, z: np.ndarray) -> np.ndarray:
         """Assembled Hessian; intended for small-n diagnostics only."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import varred.optimizers
@@ -288,6 +288,7 @@ class TestCLI:
         "max_trials = 0": small_inexact(rest="[armijo]\nmax_trials = 0\n"),
         "removed inner solver": "[inexact]\ninner = gd-fixed\n",
         "removed gd_steps": "[inexact]\ngd_steps = 5\n",
+        "removed curvature_scaled_init": "[armijo]\ncurvature_scaled_init = false\n",
         "seed = -1": "[problem]\nseed = -1\n",
         "overflowing spectrum": small_inexact(problem=f"spec_y_hi = {HUGE}\n"),
     }
@@ -339,17 +340,20 @@ name = gd
 [armijo]
 t0 = 1e8
 max_trials = 1
-curvature_scaled_init = false
 
 [output]
 dir = {out}
 """.format(out=tmp_path / "o"))
         assert main(["run", "--config", str(path)]) == 4
 
-    @pytest.mark.parametrize("breakdown", ["negative curvature", "ascent direction",
-                                           "overflow at the start point", "singular A22"])
-    def test_solver_breakdown_logged_exit_four(self, tmp_path, capsys, monkeypatch, breakdown):
-        method, method_lines = "gd", "step_mode = optimal"
+    @pytest.mark.parametrize("breakdown, method", [
+        pytest.param(b, m, id=b if m == "gd" or b == "singular A22" else f"{b}, {m}")
+        for b, m in [("negative curvature", "gd"), ("ascent direction", "gd"),
+                     ("singular A22", "pgd-exact"),
+                     *(("overflow at the start point", m) for m in METHODS)]])
+    def test_solver_breakdown_logged_exit_four(self, tmp_path, capsys, monkeypatch,
+                                               breakdown, method):
+        method_lines = "step_mode = optimal"
         if breakdown == "negative curvature":
             # the optimal step meets d'Hd < 0 and raises DegenerateCurvature
             monkeypatch.setattr(QuadraticProblem, "hessian_vec", lambda self, z, v: -(self.a @ v))
@@ -358,7 +362,8 @@ dir = {out}
             monkeypatch.setattr(varred.optimizers, "_steepest", lambda x, g: g)
             method_lines = "step_mode = armijo"
         elif breakdown == "overflow at the start point":
-            # A z overflows, and the step rule meets a non-finite gradient
+            # A z overflows, and the step rule or the stop rule meets a
+            # non-finite gradient
             method_lines += f"\nz0_fill = {HUGE}"
         else:
             # LAPACK's LU can find A22 singular where the Cholesky check of A passed,
@@ -367,7 +372,6 @@ dir = {out}
                 raise np.linalg.LinAlgError("Singular matrix")
 
             monkeypatch.setattr(np.linalg, "solve", singular)
-            method = "pgd-exact"
         path = tmp_path / "cfg.ini"
         path.write_text(SMALL_QUADRATIC.replace(
             "eliminate = full", f"eliminate = full\n{method_lines}"))
@@ -440,6 +444,9 @@ class TestCLIFuzz:
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # found by exploration: LAPACK finds A22 singular ("failed: Singular matrix", exit 4)
+    @example(method="pgd-exact",
+             entry=(("problem", "spec_y_hi", float), "9.624106701873542e+17"))
     @given(method=st.sampled_from(METHODS),
            entry=st.sampled_from(FUZZ_KEYS).flatmap(
                lambda e: st.tuples(st.just(e), _bad_values(e[0], e[2]))))

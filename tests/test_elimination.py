@@ -50,7 +50,7 @@ class TestQuadraticExactElimination:
         for x in (-1.0, 0.0, 2.5):
             res = elim.solve(np.array([x]))
             assert res.y[0] == pytest.approx((1.0 - x) / 2.0, abs=1e-12)
-            assert res.inner_iterations == 0 and res.linear_solves == 0
+            assert res.inner_iterations == 0
         # at the minimizer of the full system, h returns its y-block
         z_star = np.linalg.solve(p.a, p.b)
         assert elim.solve(z_star[:1]).y[0] == pytest.approx(z_star[1], abs=1e-15)
@@ -79,7 +79,7 @@ class TestQuadraticExactElimination:
             y_oracle = np.linalg.solve(p.a[3:, 3:], p.b[3:] - p.a[3:, :3] @ x)
             np.testing.assert_allclose(res.y, y_oracle, rtol=1e-12, atol=1e-14)
             elim.schur_hvp(x)
-            assert res.inner_iterations == 0 and res.linear_solves == 0
+            assert res.inner_iterations == 0
         assert elim.counters.snapshot() == (0, 0)
 
     def test_pgd_makes_no_cg_call(self, monkeypatch):
@@ -190,8 +190,8 @@ class TestNewtonLinearization:
 class TestScheduledInexactElimination:
     def test_tolerance_schedule_and_floor(self):
         p = LogSumExpProblem(20, 3)
-        sched = ScheduledInexactElimination(NewtonElimination(p), tol_init=1e-3,
-                                            rho=0.5, floor=1e-5)
+        sched = ScheduledInexactElimination(NewtonElimination(p), tol_init=1e-3, rho=0.5)
+        sched.reset(np.zeros(3), floor=1e-5)
         assert sched.effective_tol() == 1e-3
         for expected in (5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 3.125e-5, 1.5625e-5, 1e-5, 1e-5):
             sched.accept(np.zeros(3))
@@ -208,7 +208,7 @@ class TestScheduledInexactElimination:
         p = build_test_matrix(3, 4, (1, 3), (1, 7), 1e-1, seed=2)
         z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
         sched = ScheduledInexactElimination(NewtonElimination(p))
-        sched.reset(z_star[3:])
+        sched.reset(z_star[3:], floor=0.0)
         res = sched.solve(z_star[:3])
         assert res.inner_iterations == 0
 

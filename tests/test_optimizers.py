@@ -208,6 +208,26 @@ class TestPGDInexact:
         r_ex, r_in = tail_rate(rec_exact), tail_rate(rec_inexact)
         assert r_in <= 2.0 * r_ex + 1e-12
 
+    def test_reused_schedule_meets_its_own_tolerance(self):
+        # the second run derives its floor from its own tolerance (1e-9) and
+        # does not keep the floor of the first run (1e-5)
+        p = LogSumExpProblem(60, 4)
+        part = p.partition
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+
+        def full_gradient(z):
+            t = p.b_coeffs * z
+            e = p.a_coeffs * np.exp(t - t.max())
+            return p.b_coeffs * e / e.sum() + p.d_diag * z
+
+        z0 = np.zeros(60)
+        pgd_inexact(p, part, sched, z0[part.x_indices], z0[part.y_indices],
+                    StopRule(rel_grad_tol=1e-3, max_iter=500))
+        x, y, _ = pgd_inexact(p, part, sched, z0[part.x_indices], z0[part.y_indices],
+                              StopRule(rel_grad_tol=1e-7, max_iter=500))
+        g_norm = np.linalg.norm(full_gradient(part.embed(x, y)))
+        assert g_norm <= 1e-6 * np.linalg.norm(full_gradient(z0))
+
 
 class TestAlternatingMinimization:
     def test_block_diagonal_single_sweep(self):

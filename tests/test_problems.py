@@ -9,6 +9,7 @@ from varred.linalg import condition_number, spd_check
 from varred.problems import (
     BlockPartition,
     LogSumExpProblem,
+    Objective,
     QuadraticProblem,
     build_test_matrix,
 )
@@ -261,8 +262,10 @@ class TestYLinearization:
         assert np.array_equal(g_y, p.gradient(z)[part.y_indices])
         dense = dense_hessian(p, z)[np.ix_(part.y_indices, part.y_indices)]
         np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(_assembled(p.hess_yy_op(z, part)), dense,
-                                   rtol=1e-12, atol=1e-15)
+        # the generic route through the full gradient and Hessian product
+        g_generic, h_generic = Objective.y_linearization(p, z, part)
+        assert np.array_equal(g_generic, g_y)
+        np.testing.assert_allclose(_assembled(h_generic), dense, rtol=1e-12, atol=1e-15)
 
     def test_logsumexp_one_softmax_pass(self):
         p = LogSumExpProblem(50, 7)
