@@ -155,11 +155,11 @@ class NewtonElimination:
 class ScheduledInexactElimination:
     """Inexact elimination with a geometric tolerance schedule and warm starts.
 
-    :meth:`reset` starts a run from a warm start, at tolerance ``tol_init``,
-    with the ``floor`` its outer method derives from its own tolerance.  The
-    tolerance is multiplied by ``rho`` after each accepted outer step, floored
-    so inner work stays bounded, and the warm start becomes the y returned at
-    each accepted outer iterate.
+    The tolerance starts at ``tol_init`` and is multiplied by ``rho`` after
+    each accepted outer step, floored so inner work stays bounded; the warm
+    start becomes the y returned at each accepted outer iterate.  The floor is
+    the inner map's ``inner_tol`` until :meth:`reset` starts a run from a warm
+    start with the floor its outer method derives from its own tolerance.
     """
 
     def __init__(self, inner: NewtonElimination, tol_init: float = 1e-3,
@@ -169,7 +169,7 @@ class ScheduledInexactElimination:
         self.partition = inner.partition
         self.tol_init = tol_init
         self.rho = rho
-        self.floor = 0.0
+        self.floor = inner.inner_tol
         self.tol_current = tol_init
         self._warm = np.zeros(self.partition.n_y)
 
@@ -228,7 +228,6 @@ class ReducedObjective:
         self.partition = partition or objective.partition
         self.elim = exact_map(objective, self.partition) if elim is None else elim
         self.n = self.partition.n_x
-        self.fresh_solves = 0
         self._cache: tuple | None = None  # (x, y, value, grad_x, residual)
 
     @property
@@ -243,7 +242,6 @@ class ReducedObjective:
         result = self.elim.solve(x)
         z = self.partition.embed(x, result.y)
         val, g = self.objective.evaluate(z)
-        self.fresh_solves += 1
         self._cache = (x.copy(), result.y, val, g[self.partition.x_indices], result.residual)
         return self._cache
 

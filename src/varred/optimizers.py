@@ -95,7 +95,6 @@ class ConvergenceRecord:
 
     rows: list[RecordRow] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
-    half_sweep_values: list[float] | None = None
 
     @property
     def iterations(self) -> int:
@@ -109,7 +108,7 @@ class ConvergenceRecord:
 class _Recorder:
     """Accumulates record rows from row 0 at (fval0, grad_norm0, x0) on,
     tracking wall time and the inner-work deltas of the given counters (none
-    for full-space methods)."""
+    for full-space gradient descent)."""
 
     def __init__(self, counters: tuple[WorkCounters, ...], keep_iterates: bool,
                  fval0: float, grad_norm0: float, x0: np.ndarray):
@@ -180,12 +179,13 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
         last_step=t / p.shrink, last_value=last_val)
 
 
-# The outer loop takes a direction rule, (x, g) -> d, and a step rule,
-# (x, d, g, J(x)) -> (t, J(x + t d)), or (t, None) when the rule never
-# evaluated J at x + t d.  Rules look ``armijo_search``,
-# ``optimal_step_quadratic`` and ``linalg.cg_solve`` up at call time, once
-# per outer iteration, so instrumentation that replaces those names sees
-# every call.
+# The outer loop takes an advance rule, (x, g, J(x)) -> (x_next, t, J(x_next)),
+# or (x_next, t, None) when the rule never evaluated J at x_next.  Line-search
+# methods build theirs with :func:`_line_step` from a direction rule,
+# (x, g) -> d, and a step rule, (x, d, g, J(x)) -> (t, J(x + t d)) or
+# (t, None).  Rules look ``armijo_search``, ``optimal_step_quadratic`` and
+# ``linalg.cg_solve`` up at call time, once per outer iteration, so
+# instrumentation that replaces those names sees every call.
 
 def _steepest(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -g
@@ -226,19 +226,30 @@ def _armijo_step(obj, p: ArmijoParams, t_first: float | None = None):
     return step
 
 
-def _descend(obj, x: np.ndarray, stop: StopRule, direction, step,
-             keep_iterates: bool, name: str) -> tuple[np.ndarray, ConvergenceRecord]:
-    """The one outer descent loop, x <- x + t d, on a full-space objective or
-    a :class:`ReducedObjective`.
+def _line_step(direction, step):
+    """Advance rule x + t d from a direction rule and a step rule."""
+    def advance(x, g, val):
+        d = direction(x, g)
+        t, val = step(x, d, g, val)
+        return x + t * d, t, val
+    return advance
 
-    A reduced objective is told of each accepted iterate (a scheduled map then
-    re-evaluates J~ there) and must be settled before the run converges.
-    Raises :class:`MaxIterReached` (record attached) when the budget runs out.
+
+def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
+             name: str, counters: tuple[WorkCounters, ...] = ()) -> tuple[np.ndarray, ConvergenceRecord]:
+    """The one outer loop, x <- advance(x, g, J(x)), on a full-space objective
+    or a :class:`ReducedObjective`.
+
+    The record counts the inner work of ``counters``, or of a reduced
+    objective's map.  A reduced objective is told of each accepted iterate (a
+    scheduled map then re-evaluates J~ there) and must be settled before the
+    run converges.  Raises :class:`MaxIterReached` (record attached) when the
+    budget runs out.
     """
     reduced = obj if isinstance(obj, ReducedObjective) else None
     val, g = obj.evaluate(x)
     g_norm = g0 = float(np.linalg.norm(g))
-    rec = _Recorder(() if reduced is None else (reduced.counters,), keep_iterates,
+    rec = _Recorder(counters if reduced is None else (reduced.counters,), keep_iterates,
                     val, g_norm, x)
     k = 0
     while not (stop.met(g_norm, g0) and (reduced is None or reduced.settled(x))):
@@ -247,9 +258,7 @@ def _descend(obj, x: np.ndarray, stop: StopRule, direction, step,
                 f"{name}: no convergence within {stop.max_iter} iterations "
                 f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
         k += 1
-        d = direction(x, g)
-        t, val = step(x, d, g, val)
-        x = x + t * d
+        x, t, val = advance(x, g, val)
         if reduced is not None and reduced.accept(x):
             val = None
         if val is None:
@@ -279,8 +288,8 @@ def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
         step = _armijo_step(obj, armijo or ArmijoParams())
     else:
         raise ValueError(f"unknown step_mode {step_mode!r}")
-    return _descend(obj, as_vector(x0).copy(), stop, _steepest, step, keep_iterates,
-                    "gradient descent")
+    return _descend(obj, as_vector(x0).copy(), stop, _line_step(_steepest, step),
+                    keep_iterates, "gradient descent")
 
 
 def pgd_inexact(obj: Objective, part: BlockPartition,
@@ -301,9 +310,9 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     # inner residual floor two decades below the outer relative tolerance
     elim.reset(y0, floor=1e-2 * stop.rel_grad_tol)
     reduced = ReducedObjective(obj, part, elim)
-    x, record = _descend(reduced, as_vector(x0).copy(), stop, _steepest,
-                         _armijo_step(reduced, p or ArmijoParams()), keep_iterates,
-                         "inexact PGD")
+    x, record = _descend(reduced, as_vector(x0).copy(), stop,
+                         _line_step(_steepest, _armijo_step(reduced, p or ArmijoParams())),
+                         keep_iterates, "inexact PGD")
     return x, reduced.eliminated_point(x), record
 
 
@@ -312,40 +321,22 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
                              keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
     """Alternate argmin over the retained and eliminated blocks.
 
-    One iteration is a full sweep (x update, then y update); the objective is
-    non-increasing at every half sweep by construction of the block solvers.
-    Stops on the relative full-gradient norm.  Both block solvers are
-    :func:`~varred.elimination.exact_map`; the x-block solver works on the
-    swapped partition (its "eliminated" block is x).
+    One iteration is a full sweep (x update, then y update), recorded with
+    step 1; the objective is non-increasing at every half sweep by
+    construction of the block solvers.  Stops on the relative full-gradient
+    norm.  Both block solvers are :func:`~varred.elimination.exact_map`; the
+    x-block solver works on the swapped partition (its "eliminated" block is x).
     """
     x_solver = exact_map(obj, part.swapped())
     y_solver = exact_map(obj, part)
 
-    z = as_vector(z0).copy()
-    val, g = obj.evaluate(z)
-    g_norm = g0 = float(np.linalg.norm(g))
-    rec = _Recorder((x_solver.counters, y_solver.counters), keep_iterates, val, g_norm, z)
-    rec.record.half_sweep_values = [val]
-    k = 0
-    while not stop.met(g_norm, g0):
-        if k == stop.max_iter:
-            raise MaxIterReached(
-                f"alternating minimization: no convergence within {stop.max_iter} sweeps",
-                record=rec.record)
-        k += 1
+    def sweep(z, g, val):
         x_cur, y_cur = part.split(z)
-        # x update: minimize over x with y fixed (swapped partition)
-        res_x = x_solver.solve(y_cur, y0=x_cur)
-        z = part.embed(res_x.y, y_cur)
-        rec.record.half_sweep_values.append(obj.value(z))
-        # y update
-        res_y = y_solver.solve(res_x.y, y0=y_cur)
-        z = part.embed(res_x.y, res_y.y)
-        val, g = obj.evaluate(z)
-        rec.record.half_sweep_values.append(val)
-        g_norm = float(np.linalg.norm(g))
-        rec.add(k, val, g_norm, 1.0, z)
-    return z, rec.record
+        x_new = x_solver.solve(y_cur, y0=x_cur).y
+        return part.embed(x_new, y_solver.solve(x_new, y0=y_cur).y), 1.0, None
+
+    return _descend(obj, as_vector(z0).copy(), stop, sweep, keep_iterates,
+                    "alternating minimization", (x_solver.counters, y_solver.counters))
 
 
 def newton_eliminated(obj: Objective, part: BlockPartition,
@@ -364,8 +355,9 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
     """
     reduced = ReducedObjective(obj, part, elim)
     x = as_vector(x0).copy() if x0 is not None else np.zeros(reduced.partition.n_x)
-    return _descend(reduced, x, stop or StopRule(), _newton_direction(reduced),
-                    _armijo_step(reduced, p or ArmijoParams(), t_first=1.0), keep_iterates,
+    advance = _line_step(_newton_direction(reduced),
+                         _armijo_step(reduced, p or ArmijoParams(), t_first=1.0))
+    return _descend(reduced, x, stop or StopRule(), advance, keep_iterates,
                     "Newton with elimination")
 
 

@@ -100,10 +100,11 @@ class BlockPartition:
 class Objective:
     """Evaluation bundle for a twice differentiable J on R^n.
 
-    Subclasses implement ``value``, ``gradient`` and ``hessian_vec``.
-    :meth:`y_linearization` is the one accessor of the eliminated block of a
-    partition; it is derived here from the full quantities, and subclasses
-    may override it with a cheaper evaluation of the same two objects.
+    Subclasses implement ``evaluate`` and ``hessian_vec``; ``value`` and
+    ``gradient`` are read off one evaluation.  :meth:`y_linearization` is the
+    one accessor of the eliminated block of a partition; it is derived here
+    from the full quantities, and subclasses may override it with a cheaper
+    evaluation of the same two objects.
     ``partition`` is the problem's natural split; elimination machinery may
     override it with any other :class:`BlockPartition`.
     """
@@ -111,17 +112,18 @@ class Objective:
     n: int
     partition: BlockPartition
 
-    def value(self, z: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
+    def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        """(J(z), grad J(z))."""
         raise NotImplementedError
 
     def hessian_vec(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.value(z), self.gradient(z)
+    def value(self, z: np.ndarray) -> float:
+        return self.evaluate(z)[0]
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        return self.evaluate(z)[1]
 
     def _check_dim(self, z: np.ndarray):
         if z.shape != (self.n,):
@@ -160,14 +162,6 @@ class QuadraticProblem(Objective):
         if not spd_check(self.a):
             raise NotSPD("quadratic problem requires an SPD matrix")
         self.partition = partition or BlockPartition.eliminate_trailing(self.n, max(self.n // 2, 1))
-
-    def value(self, z: np.ndarray) -> float:
-        self._check_dim(z)
-        return 0.5 * float(z @ (self.a @ z)) - float(self.b @ z) + self.c
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        self._check_dim(z)
-        return self.a @ z - self.b
 
     def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         self._check_dim(z)
@@ -248,16 +242,6 @@ class LogSumExpProblem(Objective):
         e = self.a_coeffs * np.exp(t - m)
         s = float(e.sum())
         return m + np.log(s), e / s
-
-    def value(self, z: np.ndarray) -> float:
-        self._check_dim(z)
-        lse, _ = self._softmax_weights(z)
-        return lse + 0.5 * float(z @ (self.d_diag * z))
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        self._check_dim(z)
-        _, w = self._softmax_weights(z)
-        return self.b_coeffs * w + self.d_diag * z
 
     def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         self._check_dim(z)

@@ -188,9 +188,10 @@ class TestRunExperiment:
         second = strip_elapsed(next((tmp_path / "runs").glob("*.csv")))
         assert first == second
 
-    def test_max_iter_status(self, small_cfg):
+    @pytest.mark.parametrize("method", ["gd", "pgd-exact", "pgd-inexact", "altmin"])
+    def test_max_iter_status(self, small_cfg, method):
         small_cfg.max_iter = 2
-        small_cfg.method = "gd"
+        small_cfg.method = method
         summary, record = run_experiment(small_cfg, quiet=True)
         assert summary.status == "max-iter"
         assert record is not None

@@ -204,6 +204,18 @@ class TestScheduledInexactElimination:
         sched.accept(y)
         assert np.array_equal(sched._warm, y)
 
+    def test_floor_without_reset_is_inner_tol(self):
+        # a schedule driven by plain gradient descent, never reset, floors its
+        # tolerance at the inner map's own tolerance instead of halving to zero
+        p = LogSumExpProblem(60, 4)
+        sched = ScheduledInexactElimination(NewtonElimination(p, inner_tol=1e-10))
+        reduced = ReducedObjective(p, p.partition, sched)
+        x, rec = gradient_descent(reduced, np.zeros(56), StopRule(1e-6, 300))
+        assert rec.final.rel_grad_norm <= 1e-6
+        assert sched.floor == sched.effective_tol() == 1e-10
+        z = p.partition.embed(x, reduced.eliminated_point(x))
+        assert np.linalg.norm(p.gradient(z)[p.partition.y_indices]) <= 1e-10
+
     def test_consistent_warm_start_short_circuits(self):
         p = build_test_matrix(3, 4, (1, 3), (1, 7), 1e-1, seed=2)
         z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
@@ -314,21 +326,23 @@ class TestReducedObjective:
     def test_work_accounting(self):
         p = build_test_matrix(3, 4, (1, 3), (1, 7), 1e-1, seed=16)
         elim = QuadraticExactElimination(p)
+        solved = []
+        elim.solve = lambda x: solved.append(x) or QuadraticExactElimination.solve(elim, x)
         reduced = ReducedObjective(p, elim=elim)
         x1 = np.ones(3)
         reduced.value(x1)
         reduced.gradient(x1)  # cached: no new evaluation of h
-        assert reduced.fresh_solves == 1
+        assert len(solved) == 1
         reduced.gradient(np.zeros(3))
-        assert reduced.fresh_solves == 2
+        assert len(solved) == 2
         reduced.hvp(np.ones(3))  # the assembled Schur complement: no evaluation of h
-        assert reduced.fresh_solves == 2
+        assert len(solved) == 2
         # the direct map does no iterative work, so none is counted
         assert elim.counters.snapshot() == (0, 0)
         z_star = np.linalg.solve(p.a, p.b)
         np.testing.assert_allclose(reduced.eliminated_point(z_star[:3]), z_star[3:],
                                    rtol=1e-12, atol=1e-14)
-        assert reduced.fresh_solves == 3
+        assert len(solved) == 3
         with pytest.raises(ValueError):  # a fresh point is still validated
             reduced.value(np.full(3, np.nan))
 

@@ -2,10 +2,11 @@
 
 Every method runs through ``run_experiment`` on a small quadratic and a small
 log-sum-exp problem, and its history is compared row by row with
-``data/histories.json``.  That file was recorded before the outer descent
-loops of gradient descent, inexact PGD and reduced Newton were folded into
-one, and must only change together with an intended change of the
-histories.  Counts are compared exactly; values at relative 1e-12.
+``data/histories.json``.  That file was recorded before the outer loops of
+gradient descent, inexact PGD, reduced Newton and alternating minimization
+were folded into one, and before problems derived their values and gradients
+from one evaluation; it must only change together with an intended change of
+the histories.  Counts are compared exactly; values at relative 1e-12.
 """
 
 import json

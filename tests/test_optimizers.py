@@ -23,7 +23,7 @@ from varred.optimizers import (
     optimal_step_quadratic,
     pgd_inexact,
 )
-from varred.problems import LogSumExpProblem, QuadraticProblem, build_test_matrix
+from varred.problems import LogSumExpProblem, Objective, QuadraticProblem, build_test_matrix
 
 
 class TestOptimalStep:
@@ -239,9 +239,16 @@ class TestAlternatingMinimization:
 
     def test_half_sweep_monotonicity(self):
         p = build_test_matrix(4, 6, (1, 4), (1, 30), 2e-1, seed=7)
-        _, rec = alternating_minimization(p, p.partition, np.zeros(10),
-                                          StopRule(rel_grad_tol=1e-8, max_iter=200))
-        hv = np.array(rec.half_sweep_values)
+        part = p.partition
+        _, rec = alternating_minimization(p, part, np.zeros(10),
+                                          StopRule(rel_grad_tol=1e-8, max_iter=200),
+                                          keep_iterates=True)
+        # J(z_0), then J(x_{k+1}, y_k) and J(z_{k+1}) for every sweep
+        hv = [p.value(rec.iterates[0])]
+        for z_prev, z_next in zip(rec.iterates, rec.iterates[1:]):
+            hv += [p.value(part.embed(part.split(z_next)[0], part.split(z_prev)[1])),
+                   p.value(z_next)]
+        hv = np.array(hv)
         assert np.all(np.diff(hv) <= 1e-12 * np.maximum(1.0, np.abs(hv[:-1])))
 
     def test_coincides_with_block_gauss_seidel(self):
@@ -303,6 +310,78 @@ class TestNewtonEliminated:
             fd = (reduced.gradient(x + eps * v) - reduced.gradient(x - eps * v)) / (2 * eps)
             jv = jf(v)
             assert np.linalg.norm(jv - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
+
+
+class QuarticPlusQuadratic(Objective):
+    """J(z) = 1/2 z'Az - b'z + 1/4 sum z_i^4: only the two methods the
+    objective contract asks for."""
+
+    def __init__(self, quad):
+        self.a, self.b, self.n = quad.a, quad.b, quad.n
+        self.partition = quad.partition
+
+    def evaluate(self, z):
+        az = self.a @ z
+        return 0.5 * z @ az - self.b @ z + 0.25 * np.sum(z**4), az - self.b + z**3
+
+    def hessian_vec(self, z, v):
+        return self.a @ v + 3.0 * z**2 * v
+
+
+class TestObjectiveContract:
+    """Every method on an objective that defines only ``evaluate`` and
+    ``hessian_vec`` (its y-block reached through the generic
+    ``Objective.y_linearization``), against a dense Newton oracle."""
+
+    STOP = StopRule(rel_grad_tol=1e-6, max_iter=20000)
+
+    @staticmethod
+    def problem():
+        # the 6/9 quadratic of the differential tests plus a quartic
+        return QuarticPlusQuadratic(build_test_matrix(6, 9, (1.0, 10.0), (1.0, 200.0),
+                                                      0.1, seed=7))
+
+    @staticmethod
+    def oracle(obj):
+        z = np.zeros(obj.n)
+        for _ in range(50):
+            g = obj.a @ z - obj.b + z**3
+            if np.linalg.norm(g) <= 1e-13:
+                return z
+            z = z - np.linalg.solve(obj.a + np.diag(3.0 * z**2), g)
+        raise AssertionError("dense Newton oracle did not converge")
+
+    def test_value_and_gradient_come_from_evaluate(self):
+        obj = self.problem()
+        z = np.random.default_rng(0).standard_normal(obj.n)
+        val, g = obj.evaluate(z)
+        assert obj.value(z) == val
+        assert np.array_equal(obj.gradient(z), g)
+
+    @pytest.mark.parametrize("method", ["gd", "pgd-exact", "pgd-inexact", "altmin",
+                                        "newton-elim"])
+    def test_every_method_reaches_the_oracle(self, method):
+        obj = self.problem()
+        part = obj.partition
+        x0, z0 = np.zeros(part.n_x), np.zeros(obj.n)
+        if method == "gd":
+            z, _ = gradient_descent(obj, z0, self.STOP)
+        elif method == "pgd-exact":
+            reduced = ReducedObjective(obj, part)
+            x, _ = gradient_descent(reduced, x0, self.STOP)
+            z = part.embed(x, reduced.eliminated_point(x))
+        elif method == "pgd-inexact":
+            sched = ScheduledInexactElimination(NewtonElimination(obj, part))
+            x, y, _ = pgd_inexact(obj, part, sched, x0, np.zeros(part.n_y), self.STOP)
+            z = part.embed(x, y)
+        elif method == "altmin":
+            z, _ = alternating_minimization(obj, part, z0, self.STOP)
+        else:
+            elim = NewtonElimination(obj, part)
+            x, _ = newton_eliminated(obj, part, elim, x0, self.STOP)
+            z = part.embed(x, elim.solve(x).y)
+        z_star = self.oracle(obj)
+        assert np.linalg.norm(z - z_star) <= 1e-4 * np.linalg.norm(z_star)
 
 
 class TestRateBound:
