@@ -46,7 +46,6 @@ from .linalg import condition_number
 from .optimizers import (
     ArmijoParams,
     ConvergenceRecord,
-    RecordRow,
     StopRule,
     alternating_minimization,
     gradient_descent,
@@ -216,8 +215,8 @@ class RunSummary:
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the configured objective and its elimination partition.
 
-    Sizes or coefficients the problem or the elimination scope reject, and
-    spectra that overflow, are config errors."""
+    Sizes or coefficients the problem or the elimination scope reject, sizes
+    too large to allocate, and spectra that overflow, are config errors."""
     try:
         if cfg.kind == "quadratic":
             problem = build_test_matrix(
@@ -228,7 +227,7 @@ def build_problem(cfg: ExperimentConfig):
         part = problem.partition
         if cfg.scope_n_r is not None:
             part = part.shrink_eliminated(cfg.scope_n_r)
-    except (DimensionMismatch, ConstructionFailure, NonFinite) as exc:
+    except (DimensionMismatch, ConstructionFailure, NonFinite, MemoryError) as exc:
         raise ConfigError(f"{cfg.problem_label()}, eliminate = {cfg.eliminate}: {exc}") from exc
     return problem, part
 
@@ -332,9 +331,9 @@ def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
     cfg.validate()
     if cfg.kind != "quadratic":
         raise ConfigError("conditioning reports require a quadratic problem")
-    problem, part = build_problem(cfg)
-    if problem.n > 2000:
+    if cfg.n_x + cfg.n_y > 2000:
         raise ConfigError("conditioning reports are limited to n <= 2000")
+    problem, part = build_problem(cfg)
     a11 = problem.a[np.ix_(part.x_indices, part.x_indices)]
     report = ConditioningReport(
         kappa_full=condition_number(problem.a),
@@ -406,28 +405,6 @@ def emit_history_csv(record: ConvergenceRecord, path: str | Path) -> None:
                          f"{r.cum_linear_solves},{r.elapsed_s:.16e}\n")
     except OSError as exc:
         raise VarredError(f"cannot write history to {path}: {exc}") from exc
-
-
-def parse_history_csv(path: str | Path) -> ConvergenceRecord:
-    """Inverse of :func:`emit_history_csv`."""
-    record = ConvergenceRecord()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise VarredError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) != 8:
-                    raise VarredError(f"{path}: malformed row {line!r}")
-                record.rows.append(RecordRow(
-                    iteration=int(parts[0]), fval=float(parts[1]),
-                    grad_norm=float(parts[2]), rel_grad_norm=float(parts[3]),
-                    step=float(parts[4]), inner_iters=int(parts[5]),
-                    cum_linear_solves=int(parts[6]), elapsed_s=float(parts[7])))
-    except OSError as exc:
-        raise VarredError(f"cannot read history from {path}: {exc}") from exc
-    return record
 
 
 # ---------------------------------------------------------------- CLI

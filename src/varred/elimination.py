@@ -3,12 +3,14 @@ objective J~(x) = J(x, h(x)).
 
 An elimination map produces, for given retained variables x, eliminated
 variables y with (approximately) vanishing partial gradient grad_y J(x, y).
-Every map has a ``partition``, ``counters`` and ``solve(x)``; iterative maps
-reach the block only through :meth:`Objective.y_linearization` and return a
-warm start that already meets the active tolerance unchanged, with zero inner
-iterations.  Maps carry warm-start state and work counters, so a map instance
-is confined to a single optimizer run; distinct instances over the same
-(immutable) problem may run concurrently.
+Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y
+and the inner iterations spent on it; iterative maps reach the block only
+through :meth:`Objective.y_linearization` and return a warm start that already
+meets the active tolerance unchanged, with zero inner iterations.  The inner
+residual ||grad_y J(x, y)|| is read off the reduced objective's evaluation at
+(x, y), not reported by the map.  Maps carry warm-start state and work
+counters, so a map instance is confined to a single optimizer run; distinct
+instances over the same (immutable) problem may run concurrently.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class EliminationResult:
     """One evaluation of an elimination map."""
 
     y: np.ndarray
-    residual: float  # ||grad_y J(x, y)||_2 at the returned point
     inner_iterations: int
 
 
@@ -47,33 +48,29 @@ class QuadraticExactElimination:
     """Static condensation for a quadratic problem: h(x) = A22^{-1}(b2 - A21 x).
 
     A22 never changes, so the constructor makes one dense solve against
-    [A21 | b2] and keeps W = A22^{-1} A21, u = A22^{-1} b2 and the reduced
-    quadratic J~(x) = x'Sx / 2 + b~'x + c~ with S = A11 - A12 W (symmetrised),
-    b~ = A12 u - b1 and c~ = c - b2'u / 2.  Then h(x) = u - W x and a Schur
+    [A21 | b2] and keeps W = A22^{-1} A21, u = A22^{-1} b2 and the Schur
+    complement S = A11 - A12 W (symmetrised).  Then h(x) = u - W x and a Schur
     product is S v.  The map does no iterative work, so its counters stay at
     zero; ``y0`` and ``tol`` are ignored.
     """
 
     def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
         self.partition = partition or problem.partition
-        a11, a12, self.a21, self.a22, b1, self.b2 = problem.blocks(self.partition)
-        w_u = np.linalg.solve(self.a22, np.column_stack([self.a21, self.b2]))
+        xi, yi = self.partition.x_indices, self.partition.y_indices
+        a, b = problem.a, problem.b
+        w_u = np.linalg.solve(a[np.ix_(yi, yi)], np.column_stack([a[np.ix_(yi, xi)], b[yi]]))
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
-        s = a11 - a12 @ self.w
+        s = a[np.ix_(xi, xi)] - a[np.ix_(xi, yi)] @ self.w
         self.s = 0.5 * (s + s.T)
-        self.b_tilde = a12 @ self.u - b1
-        self.c_tilde = problem.c - 0.5 * float(self.b2 @ self.u)
         self.counters = WorkCounters()
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
-        """y = u - W x, reported with its true residual ||A22 y - (b2 - A21 x)||."""
+        """y = u - W x."""
         x = as_vector(x)
         if x.size != self.partition.n_x:
             raise DimensionMismatch("x has the wrong length for this partition")
-        y = self.u - self.w @ x
-        residual = float(np.linalg.norm(self.a22 @ y - (self.b2 - self.a21 @ x)))
-        return EliminationResult(y, residual, 0)
+        return EliminationResult(self.u - self.w @ x, 0)
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
         """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
@@ -149,7 +146,7 @@ class NewtonElimination:
             self.counters.linear_solves += solves
 
         self._warm = y.copy()
-        return EliminationResult(y, res, steps)
+        return EliminationResult(y, steps)
 
 
 class ScheduledInexactElimination:
@@ -170,7 +167,7 @@ class ScheduledInexactElimination:
         self.tol_init = tol_init
         self.rho = rho
         self.floor = inner.inner_tol
-        self.tol_current = tol_init
+        self.tol_current = max(tol_init, self.floor)
         self._warm = np.zeros(self.partition.n_y)
 
     @staticmethod
@@ -185,13 +182,10 @@ class ScheduledInexactElimination:
     def reset(self, y0: np.ndarray, floor: float):
         self._warm = as_vector(y0).copy()
         self.floor = floor
-        self.tol_current = self.tol_init
-
-    def effective_tol(self) -> float:
-        return max(self.tol_current, self.floor)
+        self.tol_current = max(self.tol_init, floor)
 
     def solve(self, x: np.ndarray) -> EliminationResult:
-        return self.inner.solve(x, y0=self._warm, tol=self.effective_tol())
+        return self.inner.solve(x, y0=self._warm, tol=self.tol_current)
 
     def accept(self, y: np.ndarray):
         """Register an accepted outer step: update warm start, shrink tolerance."""
@@ -228,7 +222,8 @@ class ReducedObjective:
         self.partition = partition or objective.partition
         self.elim = exact_map(objective, self.partition) if elim is None else elim
         self.n = self.partition.n_x
-        self._cache: tuple | None = None  # (x, y, value, grad_x, residual)
+        # (x, y, value, grad_x, ||grad_y J(x, y)||), all from one evaluation at (x, y)
+        self._cache: tuple | None = None
 
     @property
     def counters(self) -> WorkCounters:
@@ -242,7 +237,8 @@ class ReducedObjective:
         result = self.elim.solve(x)
         z = self.partition.embed(x, result.y)
         val, g = self.objective.evaluate(z)
-        self._cache = (x.copy(), result.y, val, g[self.partition.x_indices], result.residual)
+        self._cache = (x.copy(), result.y, val, g[self.partition.x_indices],
+                       float(np.linalg.norm(g[self.partition.y_indices])))
         return self._cache
 
     def value(self, x: np.ndarray) -> float:

@@ -303,9 +303,9 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     steps along -grad_x J(x, h^(x)) with Armijo backtracking (trial points
     re-evaluate the map), then updates the warm start and shrinks the
     tolerance.  Converged once the relative reduced-gradient norm meets the
-    stop rule AND the reported inner residual is below the schedule floor, so
-    the descent direction's inexactness is consistent with the outer
-    tolerance.
+    stop rule AND the inner residual of the evaluated point is below the
+    schedule floor, so the descent direction's inexactness is consistent with
+    the outer tolerance.
     """
     # inner residual floor two decades below the outer relative tolerance
     elim.reset(y0, floor=1e-2 * stop.rel_grad_tol)

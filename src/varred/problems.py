@@ -179,19 +179,6 @@ class QuadraticProblem(Objective):
         a22 = functools.cache(lambda: self.a[np.ix_(y, y)])
         return self.gradient(z)[y], LinOp(dim=y.size, apply=lambda v: a22() @ v)
 
-    def blocks(self, part: BlockPartition | None = None):
-        """(A11, A12, A21, A22, b1, b2) under the given partition."""
-        part = part or self.partition
-        xi, yi = part.x_indices, part.y_indices
-        return (
-            self.a[np.ix_(xi, xi)],
-            self.a[np.ix_(xi, yi)],
-            self.a[np.ix_(yi, xi)],
-            self.a[np.ix_(yi, yi)],
-            self.b[xi],
-            self.b[yi],
-        )
-
 
 class LogSumExpProblem(Objective):
     """J(z) = log(sum_i a_i exp(b_i z_i)) + 1/2 z'Dz, strongly convex.

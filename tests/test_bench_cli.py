@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import varred.bench_cli
 import varred.optimizers
 
 from varred.bench_cli import (
@@ -23,7 +24,6 @@ from varred.bench_cli import (
     emit_history_csv,
     main,
     parse_config,
-    parse_history_csv,
     run_experiment,
     run_table1_sweep,
 )
@@ -142,10 +142,12 @@ class TestHistoryCSV:
         rec = self._record(7)
         path = tmp_path / "h.csv"
         emit_history_csv(rec, path)
-        back = parse_history_csv(path)
-        assert len(back.rows) == len(rec.rows)
-        for r1, r2 in zip(rec.rows, back.rows):
-            assert r1 == r2
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == len(rec.rows)
+        for line, r in zip(lines, rec.rows):
+            assert [float(v) for v in line.split(",")] == [
+                r.iteration, r.fval, r.grad_norm, r.rel_grad_norm, r.step,
+                r.inner_iters, r.cum_linear_solves, r.elapsed_s]
 
     def test_empty_record_rejected(self, tmp_path):
         with pytest.raises(VarredError):
@@ -228,6 +230,14 @@ class TestConditioningReport:
         with pytest.raises(ConfigError):
             conditioning_report(cfg)
 
+    def test_size_limit_checked_before_construction(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the problem was built before its size was checked")
+
+        monkeypatch.setattr(varred.bench_cli, "build_test_matrix", no_build)
+        with pytest.raises(ConfigError, match="limited to n <= 2000"):
+            conditioning_report(ExperimentConfig(n_x=1, n_y=2000))
+
 
 class TestSweep:
     def test_labels_and_cells(self, tmp_path):
@@ -292,6 +302,9 @@ class TestCLI:
         "removed curvature_scaled_init": "[armijo]\ncurvature_scaled_init = false\n",
         "seed = -1": "[problem]\nseed = -1\n",
         "overflowing spectrum": small_inexact(problem=f"spec_y_hi = {HUGE}\n"),
+        # sizes whose first allocation fails at once (exabytes)
+        "n_x too large to allocate": "[problem]\nn_x = 1000000000\n",
+        "n too large to allocate": "[problem]\nkind = logsumexp\nn = 1000000000000000000\n",
     }
 
     def test_config_error_exit_three(self, tmp_path, capsys):
