@@ -3,14 +3,15 @@ objective J~(x) = J(x, h(x)).
 
 An elimination map produces, for given retained variables x, eliminated
 variables y with (approximately) vanishing partial gradient grad_y J(x, y).
-Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y
-and the inner iterations spent on it; iterative maps reach the block only
-through :meth:`Objective.y_linearization` and return a warm start that already
-meets the active tolerance unchanged, with zero inner iterations.  The inner
-residual ||grad_y J(x, y)|| is read off the reduced objective's evaluation at
-(x, y), not reported by the map.  Maps carry warm-start state and work
-counters, so a map instance is confined to a single optimizer run; distinct
-instances over the same (immutable) problem may run concurrently.
+Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y,
+the inner iterations spent on it and J(x, .) with x frozen once per solve in
+the map's :meth:`Objective.restrict`; iterative maps reach the block only
+through it and return a warm start that already meets the active tolerance
+unchanged, with zero inner iterations.  The reduced objective reads J, grad_x J
+and the inner residual ||grad_y J(x, y)|| off its ``evaluate(y)``.  Maps carry
+warm-start state and work counters, so a map instance is confined to a single
+optimizer run; distinct instances over the same (immutable) problem may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
 from .linalg import LinOp, as_vector, cg_solve
-from .problems import BlockPartition, Objective, QuadraticProblem
+from .problems import BlockPartition, Objective, QuadraticProblem, Restricted
 
 
 @dataclass
@@ -42,6 +43,7 @@ class EliminationResult:
 
     y: np.ndarray
     inner_iterations: int
+    restricted: Restricted  # J(x, .) at the solve's x
 
 
 class QuadraticExactElimination:
@@ -62,6 +64,7 @@ class QuadraticExactElimination:
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
         s = a[np.ix_(xi, xi)] - a[np.ix_(xi, yi)] @ self.w
         self.s = 0.5 * (s + s.T)
+        self.restriction = problem.restrict(self.partition)
         self.counters = WorkCounters()
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
@@ -70,7 +73,7 @@ class QuadraticExactElimination:
         x = as_vector(x)
         if x.size != self.partition.n_x:
             raise DimensionMismatch("x has the wrong length for this partition")
-        return EliminationResult(self.u - self.w @ x, 0)
+        return EliminationResult(self.u - self.w @ x, 0, self.restriction.at(x))
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
         """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
@@ -80,17 +83,17 @@ class QuadraticExactElimination:
 class NewtonElimination:
     """Damped inexact Newton on grad_y J(x, .) = 0, down to residual ``inner_tol``.
 
-    Each residual evaluation is one :meth:`Objective.y_linearization`, and
-    the Newton step from an accepted point solves with the y-block Hessian
-    operator of that same evaluation, by CG in at most max(500, 30 n_y)
-    iterations.  With ``cg_rel_tol=None`` the CG tolerance is
-    the classical superlinear forcing term eta = min(0.5, sqrt(residual)); a
-    fixed tolerance can be supplied instead (e.g. 1e-12 to make single-step
-    exactness on quadratics observable).  Steps are damped by backtracking on
-    the residual-norm merit: from t = 1, halved up to 40 times until the
-    residual falls by the factor 1 - 1e-4 t (1 - eta).  A solve that needs more
-    than 50 Newton steps, or whose damping fails, raises
-    :class:`NonConvergence`.
+    Each solve freezes x once in the map's restriction of the objective; each
+    residual evaluation is one ``linearize(y)`` of it, and the Newton step from
+    an accepted point solves with the y-block Hessian operator of that same
+    linearization, by CG in at most max(500, 30 n_y) iterations.  With
+    ``cg_rel_tol=None`` the CG tolerance is the classical superlinear forcing
+    term eta = min(0.5, sqrt(residual)); a fixed tolerance can be supplied
+    instead (e.g. 1e-12 to make single-step exactness on quadratics
+    observable).  Steps are damped by backtracking on the residual-norm merit:
+    from t = 1, halved up to 40 times until the residual falls by the factor
+    1 - 1e-4 t (1 - eta).  A solve that needs more than 50 Newton steps, or
+    whose damping fails, raises :class:`NonConvergence`.
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
@@ -100,6 +103,7 @@ class NewtonElimination:
         self.inner_tol = inner_tol
         self.cg_rel_tol = cg_rel_tol
         self.cg_max_iter = max(500, 30 * self.partition.n_y)
+        self.restriction = objective.restrict(self.partition)
         self._warm = np.zeros(self.partition.n_y)
         self.counters = WorkCounters()
 
@@ -110,11 +114,10 @@ class NewtonElimination:
             raise DimensionMismatch("x has the wrong length for this partition")
         tol = self.inner_tol if tol is None else tol
         y = (self._warm if y0 is None else as_vector(y0)).copy()
-
-        def linearize(y: np.ndarray) -> tuple[np.ndarray, LinOp]:
-            return self.objective.y_linearization(self.partition.embed(x, y), self.partition)
-
-        g_y, h_yy = linearize(y)
+        if y.size != self.partition.n_y:
+            raise DimensionMismatch("y0 has the wrong length for this partition")
+        restricted = self.restriction.at(x)
+        g_y, h_yy = restricted.linearize(y)
         res = float(np.linalg.norm(g_y))
         steps = solves = 0
         try:
@@ -130,7 +133,7 @@ class NewtonElimination:
                 t = 1.0
                 for _ in range(40):
                     y_trial = y + t * step
-                    g_trial, h_trial = linearize(y_trial)
+                    g_trial, h_trial = restricted.linearize(y_trial)
                     res_trial = float(np.linalg.norm(g_trial))
                     if res_trial <= (1.0 - 1e-4 * t * (1.0 - eta)) * res:
                         break
@@ -146,7 +149,7 @@ class NewtonElimination:
             self.counters.linear_solves += solves
 
         self._warm = y.copy()
-        return EliminationResult(y, steps)
+        return EliminationResult(y, steps, restricted)
 
 
 class ScheduledInexactElimination:
@@ -235,10 +238,8 @@ class ReducedObjective:
             return self._cache
         x = as_vector(x)
         result = self.elim.solve(x)
-        z = self.partition.embed(x, result.y)
-        val, g = self.objective.evaluate(z)
-        self._cache = (x.copy(), result.y, val, g[self.partition.x_indices],
-                       float(np.linalg.norm(g[self.partition.y_indices])))
+        val, g_x, g_y = result.restricted.evaluate(result.y)
+        self._cache = (x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)))
         return self._cache
 
     def value(self, x: np.ndarray) -> float:
@@ -307,8 +308,9 @@ def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray)
         v -> grad_xx J v - grad_yx J (grad_yy J)^{-1} grad_xy J v,
 
     with one y-block CG solve, at the default relative tolerance 1e-12, per
-    application."""
-    h_yy = obj.y_linearization(z, part)[1]
+    application; grad_yy J is the operator of the restriction of J at x."""
+    x, y = part.split(z)
+    h_yy = obj.restrict(part).at(x).linearize(y)[1]
 
     def apply(v: np.ndarray) -> np.ndarray:
         hv = obj.hessian_vec(z, part.lift_x(v))

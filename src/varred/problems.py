@@ -3,14 +3,16 @@
 An objective is a twice continuously differentiable function J(z) on R^n
 exposing values, gradients and Hessian-vector products.  A
 :class:`BlockPartition` splits z = (x, y) into retained variables x and
-eliminated variables y; the y-block gradient and Hessian operator are
-derived from the full ones by embedding/slicing, so any objective with a
-Hessian-vector product supports elimination.
+eliminated variables y.  :meth:`Objective.restrict` gives J on the y block
+with x frozen once, by default through the full evaluation, so any objective
+with a Hessian-vector product supports elimination; both problems here make
+the work of an inner Newton iterate depend on n_y alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,20 +99,57 @@ class BlockPartition:
         return z
 
 
+class Restricted:
+    """J(x, .) for one frozen x: ``linearize(y)`` is (grad_y J, grad_yy J as an
+    operator) and ``evaluate(y)`` is (J, grad_x J, grad_y J), at z = (x, y).
+    Here both embed z and call the full ``evaluate`` and ``hessian_vec``; the
+    operator does no work before its first product."""
+
+    def __init__(self, restriction: Restriction, x: np.ndarray):
+        self.restriction, self.x = restriction, x
+
+    def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
+        obj, part = self.restriction.objective, self.restriction.part
+        z, yi = part.embed(self.x, y), part.y_indices
+        op = LinOp(dim=yi.size, apply=lambda v: obj.hessian_vec(z, part.lift_y(v))[yi])
+        return obj.gradient(z)[yi], op
+
+    def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        part = self.restriction.part
+        val, g = self.restriction.objective.evaluate(part.embed(self.x, y))
+        return val, g[part.x_indices], g[part.y_indices]
+
+
+class Restriction:
+    """J on the eliminated block of one partition, made once per partition by
+    :meth:`Objective.restrict`; ``at(x)`` freezes x.  ``blocks`` is what the
+    objective's frozen J slices of the partition, made on first use."""
+
+    def __init__(self, objective: Objective, part: BlockPartition):
+        self.objective, self.part = objective, part
+
+    @functools.cached_property
+    def blocks(self):
+        return self.objective.restricted.blocks(self.objective, self.part)
+
+    def at(self, x: np.ndarray) -> Restricted:
+        return self.objective.restricted(self, x)
+
+
 class Objective:
     """Evaluation bundle for a twice differentiable J on R^n.
 
     Subclasses implement ``evaluate`` and ``hessian_vec``; ``value`` and
-    ``gradient`` are read off one evaluation.  :meth:`y_linearization` is the
-    one accessor of the eliminated block of a partition; it is derived here
-    from the full quantities, and subclasses may override it with a cheaper
-    evaluation of the same two objects.
+    ``gradient`` are read off one evaluation.  :meth:`restrict` is the one
+    accessor of the eliminated block of a partition; a subclass may name in
+    ``restricted`` a :class:`Restricted` that evaluates it more cheaply.
     ``partition`` is the problem's natural split; elimination machinery may
     override it with any other :class:`BlockPartition`.
     """
 
     n: int
     partition: BlockPartition
+    restricted = Restricted
 
     def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """(J(z), grad J(z))."""
@@ -129,17 +168,9 @@ class Objective:
         if z.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}, got shape {z.shape}")
 
-    def y_linearization(self, z: np.ndarray,
-                        part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
-        """(grad_y J(z), grad_yy J(z) as an operator) from one evaluation at z.
-
-        Here: the sliced full gradient and v -> [H(z) E_y v]_y through the
-        full HVP.  No block operator does any work before its first product,
-        so a caller that only needs the gradient pays nothing for the operator."""
-        part = part or self.partition
-        y = part.y_indices
-        op = LinOp(dim=y.size, apply=lambda v: self.hessian_vec(z, part.lift_y(v))[y])
-        return self.gradient(z)[y], op
+    def restrict(self, part: BlockPartition | None = None) -> Restriction:
+        """J on the eliminated block of ``part`` (default: the natural partition)."""
+        return Restriction(self, part or self.partition)
 
     def curvature_along(self, z: np.ndarray, d: np.ndarray) -> float:
         """Rayleigh quotient d'H(z)d / d'd."""
@@ -149,8 +180,30 @@ class Objective:
         return float(d @ self.hessian_vec(z, d)) / nd2
 
 
+class QuadraticRestricted(Restricted):
+    """linearize(y) = (A22 y + r, v -> A22 v) with r = A_yx x - b_y, formed on
+    first use; ``evaluate`` is the full one."""
+
+    @staticmethod
+    def blocks(objective: QuadraticProblem, part: BlockPartition):
+        """A22, A_yx and b_y."""
+        a, xi, yi = objective.a, part.x_indices, part.y_indices
+        return a[np.ix_(yi, yi)], a[np.ix_(yi, xi)], objective.b[yi]
+
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        _, a_yx, b_y = self.restriction.blocks
+        return a_yx @ self.x - b_y
+
+    def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
+        a22 = self.restriction.blocks[0]
+        return a22 @ y + self.r, LinOp(dim=y.size, apply=lambda v: a22 @ v)
+
+
 class QuadraticProblem(Objective):
     """J(z) = 1/2 z'Az - b'z + c with SPD A."""
+
+    restricted = QuadraticRestricted
 
     def __init__(self, a, b, c: float = 0.0, partition: BlockPartition | None = None):
         self.a = sym_matrix(a)
@@ -171,13 +224,48 @@ class QuadraticProblem(Objective):
     def hessian_vec(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.a @ v
 
-    def y_linearization(self, z: np.ndarray,
-                        part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
-        """(A z - b)_y and v -> A22 v."""
-        y = (part or self.partition).y_indices
-        # A22 is copied on the first product, not when the operator is made
-        a22 = functools.cache(lambda: self.a[np.ix_(y, y)])
-        return self.gradient(z)[y], LinOp(dim=y.size, apply=lambda v: a22() @ v)
+
+class LogSumExpRestricted(Restricted):
+    """J(x, .) on log-sum-exp.  ``at(x)`` makes the one ``exp`` over the x
+    block: the x part s_x of the partition sum, shifted by m_x = max b_x x.
+    Under the full shift m = max(m_x, max b_y y) it is s_x exp(m_x - m), so
+    ``linearize(y)`` is O(n_y) and ``evaluate(y)`` has no ``exp`` over x."""
+
+    @staticmethod
+    def blocks(objective: LogSumExpProblem, part: BlockPartition):
+        """The coefficients (a, b, d) of the x block and of the y block."""
+        coeffs = (objective.a_coeffs, objective.b_coeffs, objective.d_diag)
+        return tuple(tuple(c[i] for c in coeffs) for i in (part.x_indices, part.y_indices))
+
+    def __init__(self, restriction: Restriction, x: np.ndarray):
+        super().__init__(restriction, x)
+        (a_x, b_x, d_x), (self.a_y, self.b_y, self.d_y) = restriction.blocks
+        t = b_x * x
+        self.m_x = float(t.max())
+        e = a_x * np.exp(t - self.m_x)
+        self.s_x = float(e.sum())
+        self.be_x, self.dx = b_x * e, d_x * x
+
+    def _softmax(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(log of the partition sum, g = b_y w_y, the x-block weight scale)."""
+        t = self.b_y * y
+        m = max(self.m_x, float(t.max()))
+        e = self.a_y * np.exp(t - m)
+        shift = math.exp(self.m_x - m)
+        s = self.s_x * shift + float(e.sum())
+        return m + math.log(s), self.b_y * (e / s), shift / s
+
+    def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
+        """The operator is v -> (b g) v - g (g v) + d v on the block."""
+        _, g, _ = self._softmax(y)
+        bg, d = self.b_y * g, self.d_y
+        return g + d * y, LinOp(dim=y.size, apply=lambda v: bg * v - g * float(g @ v) + d * v)
+
+    def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        lse, g, scale = self._softmax(y)
+        dy = self.d_y * y
+        val = lse + 0.5 * (float(self.x @ self.dx) + float(y @ dy))
+        return val, self.be_x * scale + self.dx, g + dy
 
 
 class LogSumExpProblem(Objective):
@@ -188,6 +276,8 @@ class LogSumExpProblem(Objective):
     Coefficients follow a_i = i, b_i = 10 for i <= n_el else 1, d_i = 1e-4
     for i <= n_el else 1e-2.
     """
+
+    restricted = LogSumExpRestricted
 
     def __init__(self, n: int = 1000, n_el: int = 20):
         if not 1 <= n_el < n:
@@ -243,23 +333,6 @@ class LogSumExpProblem(Objective):
         _, w = self._softmax_weights(z)
         g_soft = self.b_coeffs * w
         return self.b_coeffs * g_soft * v - g_soft * float(g_soft @ v) + self.d_diag * v
-
-    def y_linearization(self, z: np.ndarray,
-                        part: BlockPartition | None = None) -> tuple[np.ndarray, LinOp]:
-        """(grad_y J(z), grad_yy J(z) as an operator) from one softmax pass.
-
-        The operator v -> (b g)∘v - g (g·v) + d∘v, with g = b∘w the softmax
-        gradient, touches only the n_y entries of the block.  It keeps the
-        elementwise order of :meth:`hessian_vec`; only the dot product g·v,
-        summed over n_y entries instead of n, may differ in the last bits."""
-        part = part or self.partition
-        self._check_dim(z)
-        _, w = self._softmax_weights(z)
-        y = part.y_indices
-        g_soft, d = self.b_coeffs[y] * w[y], self.d_diag[y]
-        bg = self.b_coeffs[y] * g_soft
-        op = LinOp(dim=y.size, apply=lambda v: bg * v - g_soft * float(g_soft @ v) + d * v)
-        return g_soft + d * z[y], op
 
     def dense_hessian(self, z: np.ndarray) -> np.ndarray:
         """Assembled Hessian; intended for small-n diagnostics only."""

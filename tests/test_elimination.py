@@ -8,15 +8,23 @@ from hypothesis import strategies as st
 
 import varred.elimination
 import varred.linalg
+import varred.problems
 from varred.elimination import (
     NewtonElimination,
     QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
 )
+from varred.errors import DimensionMismatch
 from varred.linalg import cg_solve, LinOp, sym_matrix
-from varred.optimizers import StopRule, gradient_descent
-from varred.problems import BlockPartition, LogSumExpProblem, QuadraticProblem, build_test_matrix
+from varred.optimizers import StopRule, gradient_descent, pgd_inexact
+from varred.problems import (
+    BlockPartition,
+    LogSumExpProblem,
+    LogSumExpRestricted,
+    QuadraticProblem,
+    build_test_matrix,
+)
 
 
 def two_by_two_problem():
@@ -99,18 +107,35 @@ class TestQuadraticExactElimination:
             assert record.final.cum_linear_solves == 0
 
     def test_freed_without_the_cycle_collector(self):
-        # the map holds no reference cycle, so dropping it frees its blocks
+        # no map, restriction or reduced objective holds a reference cycle, so
+        # dropping one frees its blocks
         p = build_test_matrix(3, 4, (1, 2), (1, 6), 1e-1, seed=5)
+        lse = LogSumExpProblem(60, 4)
         gc.disable()
         try:
             elim = QuadraticExactElimination(p)
             elim.solve(np.ones(3))
             elim.schur_hvp(np.ones(3))
-            ref = weakref.ref(elim)
-            del elim
-            assert ref() is None
+            newton = NewtonElimination(lse)
+            restricted = newton.solve(np.zeros(56)).restricted
+            reduced = ReducedObjective(lse, lse.partition, NewtonElimination(lse))
+            reduced.evaluate(np.zeros(56))
+            refs = [weakref.ref(obj) for obj in (elim, newton, restricted, reduced)]
+            del elim, newton, restricted, reduced
+            assert [ref() for ref in refs] == [None] * 4
         finally:
             gc.enable()
+
+    def test_reduced_evaluation_slices_no_block(self, monkeypatch):
+        # the exact map's frozen J(x, .) is used only for the full evaluation,
+        # so it never copies a submatrix
+        p = build_test_matrix(3, 4, (1, 2), (1, 6), 1e-1, seed=5)
+        reduced = ReducedObjective(p)
+        copies = []
+        ix = np.ix_
+        monkeypatch.setattr(varred.problems.np, "ix_", lambda *a: copies.append(1) or ix(*a))
+        reduced.evaluate(np.ones(3))
+        assert copies == []
 
 
 class TestNewtonElimination:
@@ -140,44 +165,61 @@ class TestNewtonElimination:
         z = p.partition.embed(np.zeros(34), res.y)
         assert np.linalg.norm(p.gradient(z)[p.partition.y_indices]) <= 1e-8
 
+    @pytest.mark.parametrize("n_y0", [1, 3])
+    def test_warm_start_of_the_wrong_length_raises(self, n_y0):
+        # a short warm start must not be broadcast over the eliminated block
+        p = LogSumExpProblem(60, 4)
+        y0 = np.full(n_y0, 0.5)
+        with pytest.raises(DimensionMismatch, match="y0"):
+            NewtonElimination(p).solve(np.zeros(56), y0=y0)
+        with pytest.raises(DimensionMismatch, match="y0"):
+            pgd_inexact(p, p.partition, ScheduledInexactElimination(NewtonElimination(p)),
+                        np.zeros(56), y0, StopRule(1e-6, 300))
+
 
 class TestNewtonLinearization:
-    """Each residual evaluation of the inner Newton is one y-block
-    linearization, and CG products reuse it."""
+    """Each solve freezes x once; each residual evaluation of the inner Newton
+    is one O(n_y) linearization, and CG products reuse it."""
 
-    def _counted(self, p):
-        calls = {"softmax": 0, "linearization": 0, "products": 0,
-                 "hessian_vec": 0, "gradient": 0}
-        softmax, linearize = p._softmax_weights, p.y_linearization
-
-        def count(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
-
-        def linearization(z, part=None):
-            g_y, op = count("linearization", linearize)(z, part)
-            return g_y, LinOp(dim=op.dim, apply=count("products", op.apply))
-
-        p._softmax_weights = count("softmax", softmax)
-        p.y_linearization = linearization
-        p.hessian_vec = count("hessian_vec", p.hessian_vec)
-        p.gradient = count("gradient", p.gradient)
-        return calls
-
-    def test_logsumexp_one_softmax_pass_per_residual_evaluation(self):
+    def test_logsumexp_one_softmax_pass_per_residual_evaluation(self, monkeypatch):
+        # one exp over the x block per solve and per reduced evaluation, and
+        # one over the n_y entries per Newton iterate or damping trial
         p = LogSumExpProblem(40, 6)
-        calls = self._counted(p)
+        calls = {"linearization": 0, "products": 0}
+        sizes = []
+        exp, linearize = np.exp, LogSumExpRestricted.linearize
+
+        def linearization(restricted, y):
+            calls["linearization"] += 1
+            g_y, op = linearize(restricted, y)
+
+            def product(v):
+                calls["products"] += 1
+                return op(v)
+            return g_y, LinOp(dim=op.dim, apply=product)
+
+        def full(*args):
+            raise AssertionError("the inner solve evaluated J over all of z")
+
+        monkeypatch.setattr(varred.problems.np, "exp", lambda a: sizes.append(a.size) or exp(a))
+        monkeypatch.setattr(LogSumExpRestricted, "linearize", linearization)
+        for name in ("evaluate", "gradient", "hessian_vec"):
+            monkeypatch.setattr(p, name, full)
         # from this start some Newton steps are damped, so trials outnumber steps
         res = NewtonElimination(p, inner_tol=1e-8).solve(np.zeros(34), y0=np.linspace(-3, 3, 6))
         assert calls["linearization"] > 1 + res.inner_iterations
-        assert calls["softmax"] == calls["linearization"]
         assert calls["products"] > 0
-        assert calls["hessian_vec"] == calls["gradient"] == 0
-        # checked last: this evaluation is one more softmax pass
+        assert sizes == [34] + [6] * calls["linearization"]
+        sizes.clear()
+        reduced = ReducedObjective(p, p.partition, NewtonElimination(p, inner_tol=1e-8))
+        _, g_x = reduced.evaluate(np.zeros(34))
+        assert sizes.count(34) == 1 and set(sizes) == {34, 6}
+        monkeypatch.undo()
+        # checked last, through the full gradient
         z = p.partition.embed(np.zeros(34), res.y)
         assert np.linalg.norm(p.gradient(z)[p.partition.y_indices]) <= 1e-8
+        g = p.gradient(p.partition.embed(np.zeros(34), reduced.eliminated_point(np.zeros(34))))
+        np.testing.assert_allclose(g_x, g[p.partition.x_indices], rtol=1e-13)
 
     def test_quadratic_matches_direct_solve_on_a22(self):
         p, part = random_spd_partitioned(11, max_order=20)

@@ -331,7 +331,7 @@ class QuarticPlusQuadratic(Objective):
 class TestObjectiveContract:
     """Every method on an objective that defines only ``evaluate`` and
     ``hessian_vec`` (its y-block reached through the generic
-    ``Objective.y_linearization``), against a dense Newton oracle."""
+    base-class ``Restricted``), against a dense Newton oracle."""
 
     STOP = StopRule(rel_grad_tol=1e-6, max_iter=20000)
 

@@ -9,8 +9,8 @@ from varred.linalg import condition_number, spd_check
 from varred.problems import (
     BlockPartition,
     LogSumExpProblem,
-    Objective,
     QuadraticProblem,
+    Restricted,
     build_test_matrix,
 )
 
@@ -246,8 +246,9 @@ def _assembled(op):
 
 
 class TestYLinearization:
-    """(grad_y J, grad_yy J) from one evaluation, against the full gradient
-    and the assembled Hessian."""
+    """The restriction of J to the eliminated block at a frozen x:
+    ``linearize`` and ``evaluate`` against the full gradient and the assembled
+    Hessian."""
 
     @pytest.mark.parametrize("kind", ["leading", "trailing", "scattered", "swapped"])
     @pytest.mark.parametrize("make, dense_hessian", [
@@ -258,32 +259,71 @@ class TestYLinearization:
         p = make()
         part = _partitions(15, 9)[kind]
         z = np.random.default_rng(3).standard_normal(15) * 0.4
-        g_y, h_yy = p.y_linearization(z, part)
-        assert np.array_equal(g_y, p.gradient(z)[part.y_indices])
+        x, y = part.split(z)
+        val, g = p.evaluate(z)
+        full = (val, g[part.x_indices], g[part.y_indices], g[part.y_indices])
         dense = dense_hessian(p, z)[np.ix_(part.y_indices, part.y_indices)]
-        np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
-        # the generic route through the full gradient and Hessian product
-        g_generic, h_generic = Objective.y_linearization(p, z, part)
-        assert np.array_equal(g_generic, g_y)
-        np.testing.assert_allclose(_assembled(h_generic), dense, rtol=1e-12, atol=1e-15)
+        # the problem's own restriction, and the generic route through the
+        # full evaluation and Hessian product, which is exact
+        for restricted, exact in ((p.restrict(part).at(x), False),
+                                  (Restricted(p.restrict(part), x), True)):
+            g_y, h_yy = restricted.linearize(y)
+            np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
+            got = (*restricted.evaluate(y), g_y)
+            if exact:
+                assert got[0] == val
+                assert all(np.array_equal(a, b) for a, b in zip(got[1:], full[1:]))
+            else:
+                assert got[0] == pytest.approx(val, rel=1e-13)
+                for a, b in zip(got[1:], full[1:]):
+                    assert np.abs(a - b).max() <= 1e-13 * np.abs(g).max()
 
-    def test_logsumexp_one_softmax_pass(self):
+    @pytest.mark.parametrize("x_fill, y_fill", [(0.0, 100.0), (0.0, -100.0), (80.0, 0.0)],
+                             ids=["y-max-x-underflows", "x-max-y-underflows", "x-max"])
+    def test_max_shift_in_either_block(self, x_fill, y_fill):
+        # b_y = 10: y = +-100 puts max b z in the y block with exp(m_x - m) = 0,
+        # or leaves the y block to underflow under the x block's maximum
+        p = LogSumExpProblem(15, 6)
+        part = p.partition
+        z = part.embed(np.linspace(-1, 1, 9) + x_fill, np.linspace(-1, 1, 6) + y_fill)
+        x, y = part.split(z)
+        val, g = p.evaluate(z)
+        restricted = p.restrict().at(x)
+        val_r, g_x, g_y = restricted.evaluate(y)
+        assert np.isfinite(val_r) and val_r == pytest.approx(val, rel=1e-13)
+        tol = 1e-13 * np.abs(g).max()
+        assert np.abs(g_x - g[part.x_indices]).max() <= tol
+        assert np.abs(g_y - g[part.y_indices]).max() <= tol
+        g_lin, h_yy = restricted.linearize(y)
+        assert np.array_equal(g_lin, g_y)
+        dense = p.dense_hessian(z)[np.ix_(part.y_indices, part.y_indices)]
+        np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
+
+    def test_logsumexp_one_softmax_pass(self, monkeypatch):
+        # at(x): one exp over the x block; linearize and evaluate: one over
+        # the y block each; operator products: none
         p = LogSumExpProblem(50, 7)
-        passes = []
-        softmax = p._softmax_weights
-        p._softmax_weights = lambda z: passes.append(1) or softmax(z)
-        _, h_yy = p.y_linearization(np.full(50, 0.3))
+        sizes = []
+        exp = np.exp
+        monkeypatch.setattr(varred.problems.np, "exp", lambda a: sizes.append(a.size) or exp(a))
+        restricted = p.restrict().at(np.full(43, 0.3))
+        _, h_yy = restricted.linearize(np.full(7, 0.3))
         for v in np.eye(7):
             h_yy(v)
-        assert len(passes) == 1
+        restricted.evaluate(np.full(7, 0.3))
+        assert sizes == [43, 7, 7]
 
     def test_quadratic_copies_no_submatrix_before_a_product(self, monkeypatch):
         p = build_test_matrix(4, 6, (1, 5), (1, 20), 1e-1, seed=1)
         copies = []
         ix = np.ix_
         monkeypatch.setattr(varred.problems.np, "ix_", lambda *a: copies.append(1) or ix(*a))
-        _, h_yy = p.y_linearization(np.ones(10))
+        restriction = p.restrict()
+        restricted = restriction.at(np.ones(4))
+        restricted.evaluate(np.ones(6))
         assert copies == []
+        _, h_yy = restricted.linearize(np.ones(6))
         h_yy(np.ones(6))
-        h_yy(np.ones(6))
-        assert len(copies) == 1
+        restriction.at(np.zeros(4)).linearize(np.ones(6))
+        # A22 and A_yx, once per partition
+        assert len(copies) == 2
