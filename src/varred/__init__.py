@@ -35,7 +35,6 @@ from .elimination import (
     ReducedObjective,
     ScheduledInexactElimination,
     exact_map,
-    reduced_newton_operator,
 )
 from .optimizers import (
     ArmijoParams,

@@ -7,8 +7,10 @@ Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y,
 the inner iterations spent on it and J(x, .) with x frozen once per solve in
 the map's :meth:`Objective.restrict`; iterative maps reach the block only
 through it and return a warm start that already meets the active tolerance
-unchanged, with zero inner iterations.  The reduced objective reads J, grad_x J
-and the inner residual ||grad_y J(x, y)|| off its ``evaluate(y)``.  Maps carry
+unchanged, with zero inner iterations.  The reduced objective keeps that J(x, .)
+with its last point: it reads J, grad_x J and the inner residual
+||grad_y J(x, y)|| off its ``evaluate(y)``, and the reduced Hessian off its
+``linearize(y)`` and ``x_products(y)``.  Maps carry
 warm-start state and work counters, so a map instance is confined to a single
 optimizer run; distinct instances over the same (immutable) problem may run
 concurrently.
@@ -208,12 +210,13 @@ def exact_map(objective: Objective, partition: BlockPartition,
 class ReducedObjective:
     """J~(x) = J(x, h(x)) with gradient grad_x J(x, h(x)); the one place that
     knows how the reduced objective is evaluated, through any map of this
-    module (``elim``; :func:`exact_map` by default).
+    module (``elim``; :func:`exact_map` by default), on the map's partition.
 
     For exact maps the gradient is the true gradient of J~ (the cross term
     vanishes because grad_y J(x, h(x)) = 0); for inexact maps it is the
     tolerance-controlled descent direction.  The last evaluated point is
-    cached so a value/gradient pair at the same x costs one inner solve.  With
+    cached with the map's J(x, .), so a value/gradient pair at the same x costs
+    one inner solve and curvature at x is read off the same restriction.  With
     a :class:`ScheduledInexactElimination`, :meth:`accept` advances the
     schedule after each accepted outer step and :meth:`settled` holds
     convergence back until the inner residual reaches the schedule floor.
@@ -221,11 +224,15 @@ class ReducedObjective:
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
                  elim=None):
-        self.objective = objective
-        self.partition = partition or objective.partition
-        self.elim = exact_map(objective, self.partition) if elim is None else elim
+        if elim is None:
+            elim = exact_map(objective, partition or objective.partition)
+        elif partition is not None and not (
+                np.array_equal(partition.x_indices, elim.partition.x_indices)
+                and np.array_equal(partition.y_indices, elim.partition.y_indices)):
+            raise DimensionMismatch("the partition differs from the elimination map's")
+        self.elim, self.partition = elim, elim.partition
         self.n = self.partition.n_x
-        # (x, y, value, grad_x, ||grad_y J(x, y)||), all from one evaluation at (x, y)
+        # (x, y, value, grad_x, ||grad_y J||, J(x, .)), all from one solve at x
         self._cache: tuple | None = None
 
     @property
@@ -237,9 +244,11 @@ class ReducedObjective:
         if self._cache is not None and np.array_equal(self._cache[0], x):
             return self._cache
         x = as_vector(x)
+        self._cache = None  # free the old restriction before the solve makes one
         result = self.elim.solve(x)
         val, g_x, g_y = result.restricted.evaluate(result.y)
-        self._cache = (x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)))
+        self._cache = (x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)),
+                       result.restricted)
         return self._cache
 
     def value(self, x: np.ndarray) -> float:
@@ -276,20 +285,29 @@ class ReducedObjective:
                 or self._ensure(x)[4] <= self.elim.floor)
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
-        """Reduced Hessian product S v with the Schur complement S that an
-        exact quadratic map assembled at construction."""
-        if not isinstance(self.elim, QuadraticExactElimination):
-            raise NotImplementedError("matrix-free reduced Hessian requires an exact quadratic map")
         return self.elim.schur_hvp(v)
 
     def hessian_op(self, x: np.ndarray) -> LinOp:
         """Reduced Hessian at x as an operator: the assembled Schur complement
-        for exact quadratic maps, otherwise :func:`reduced_newton_operator`
-        at (x, h(x))."""
+        for exact quadratic maps, otherwise at (x, h(x)) matrix-free,
+
+            v -> grad_xx J v - grad_xy J (grad_yy J)^{-1} grad_yx J v,
+
+        with one y-block CG solve, at the default relative tolerance 1e-12, per
+        product; every block comes from the cached J(x, .)."""
         if isinstance(self.elim, QuadraticExactElimination):
             return LinOp(dim=self.n, apply=self.elim.schur_hvp)
-        z = self.partition.embed(x, self.eliminated_point(x))
-        return reduced_newton_operator(self.objective, self.partition, z)
+        _, y, *_, restricted = self._ensure(x)
+        h_yy = restricted.linearize(y)[1]
+        along_x, xy = restricted.x_products(y)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            h_xx_v, h_yx_v = along_x(v)
+            return h_xx_v - xy(cg_solve(h_yy, h_yx_v).x)
+        return LinOp(dim=self.n, apply=apply)
+
+    def hessian_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.hessian_op(x)(v)
 
     def curvature_along(self, x: np.ndarray, d: np.ndarray) -> float:
         """Curvature of the retained block at the incumbent eliminated point.
@@ -297,24 +315,6 @@ class ReducedObjective:
         Uses d' grad_xx J d, an upper bound for the reduced (Schur) curvature,
         so steps scaled by its inverse never overshoot the reduced scale.
         """
-        z = self.partition.embed(x, self.eliminated_point(x))
-        h_lifted = self.objective.hessian_vec(z, self.partition.lift_x(d))
-        return float(d @ h_lifted[self.partition.x_indices]) / float(d @ d)
-
-
-def reduced_newton_operator(obj: Objective, part: BlockPartition, z: np.ndarray) -> LinOp:
-    """Matrix-free reduced Jacobian at z = (x, h(x)):
-
-        v -> grad_xx J v - grad_yx J (grad_yy J)^{-1} grad_xy J v,
-
-    with one y-block CG solve, at the default relative tolerance 1e-12, per
-    application; grad_yy J is the operator of the restriction of J at x."""
-    x, y = part.split(z)
-    h_yy = obj.restrict(part).at(x).linearize(y)[1]
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        hv = obj.hessian_vec(z, part.lift_x(v))
-        s = cg_solve(h_yy, hv[part.y_indices]).x
-        return hv[part.x_indices] - obj.hessian_vec(z, part.lift_y(s))[part.x_indices]
-
-    return LinOp(dim=part.n_x, apply=apply)
+        _, y, *_, restricted = self._ensure(x)
+        along_x, _ = restricted.x_products(y)
+        return float(d @ along_x(d)[0]) / float(d @ d)

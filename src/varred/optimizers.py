@@ -200,10 +200,8 @@ def _newton_direction(reduced: ReducedObjective):
 
 def _optimal_step(obj):
     """Closed-form quadratic step along -g through the objective's Hessian product."""
-    hvp = obj.hvp if isinstance(obj, ReducedObjective) else None
-
     def step(x, d, g, val):
-        return optimal_step_quadratic(g, hvp or (lambda v: obj.hessian_vec(x, v))), None
+        return optimal_step_quadratic(g, lambda v: obj.hessian_vec(x, v)), None
     return step
 
 
@@ -347,11 +345,11 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
                       keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
     """Newton iteration on the reduced optimality system F~(x) = grad_x J(x, h(x)).
 
-    The reduced Jacobian grad_xx J - grad_yx J (grad_yy J)^{-1} grad_xy J is
-    applied matrix-free (:meth:`ReducedObjective.hessian_op`) and each Newton
-    system is solved by CG to relative residual 1e-12, as are the y-block
-    solves inside each operator product; steps are damped by Armijo on the
-    reduced objective from a unit trial step.
+    The reduced Jacobian grad_xx J - grad_xy J (grad_yy J)^{-1} grad_yx J is
+    :meth:`ReducedObjective.hessian_op`, read off the restriction J(x, .) that
+    evaluated J~ at x.  Each Newton system is solved by CG to relative residual
+    1e-12, as are the y-block solves inside each operator product; steps are
+    damped by Armijo on the reduced objective from a unit trial step.
     """
     reduced = ReducedObjective(obj, part, elim)
     x = as_vector(x0).copy() if x0 is not None else np.zeros(reduced.partition.n_x)

@@ -5,8 +5,11 @@ exposing values, gradients and Hessian-vector products.  A
 :class:`BlockPartition` splits z = (x, y) into retained variables x and
 eliminated variables y.  :meth:`Objective.restrict` gives J on the y block
 with x frozen once, by default through the full evaluation, so any objective
-with a Hessian-vector product supports elimination; both problems here make
-the work of an inner Newton iterate depend on n_y alone.
+with a Hessian-vector product supports elimination.  It is the one place that
+forms J's Hessian blocks at (x, y): the y block for the inner Newton solve and
+the x-block products for the reduced Hessian.  Both problems here make the
+work of an inner Newton iterate depend on n_y alone, and log-sum-exp makes an
+x-block product O(n) with no ``exp``.
 """
 
 from __future__ import annotations
@@ -100,10 +103,11 @@ class BlockPartition:
 
 
 class Restricted:
-    """J(x, .) for one frozen x: ``linearize(y)`` is (grad_y J, grad_yy J as an
-    operator) and ``evaluate(y)`` is (J, grad_x J, grad_y J), at z = (x, y).
-    Here both embed z and call the full ``evaluate`` and ``hessian_vec``; the
-    operator does no work before its first product."""
+    """J(x, .) for one frozen x, at z = (x, y): ``linearize(y)`` is (grad_y J,
+    grad_yy J as an operator), ``x_products(y)`` the x-block products of the
+    Hessian and ``evaluate(y)`` is (J, grad_x J, grad_y J).  Here each embeds z
+    once and calls the full ``evaluate`` or ``hessian_vec``; the products do no
+    work before their first call."""
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
         self.restriction, self.x = restriction, x
@@ -113,6 +117,16 @@ class Restricted:
         z, yi = part.embed(self.x, y), part.y_indices
         op = LinOp(dim=yi.size, apply=lambda v: obj.hessian_vec(z, part.lift_y(v))[yi])
         return obj.gradient(z)[yi], op
+
+    def x_products(self, y: np.ndarray):
+        """(v -> (grad_xx J v, grad_yx J v), w -> grad_xy J w)."""
+        obj, part = self.restriction.objective, self.restriction.part
+        z, xi, yi = part.embed(self.x, y), part.x_indices, part.y_indices
+
+        def along_x(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            hv = obj.hessian_vec(z, part.lift_x(v))
+            return hv[xi], hv[yi]
+        return along_x, lambda w: obj.hessian_vec(z, part.lift_y(w))[xi]
 
     def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         part = self.restriction.part
@@ -197,7 +211,7 @@ class QuadraticRestricted(Restricted):
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
         a22 = self.restriction.blocks[0]
-        return a22 @ y + self.r, LinOp(dim=y.size, apply=lambda v: a22 @ v)
+        return a22 @ y + self.r, LinOp.from_matrix(a22)
 
 
 class QuadraticProblem(Objective):
@@ -229,7 +243,8 @@ class LogSumExpRestricted(Restricted):
     """J(x, .) on log-sum-exp.  ``at(x)`` makes the one ``exp`` over the x
     block: the x part s_x of the partition sum, shifted by m_x = max b_x x.
     Under the full shift m = max(m_x, max b_y y) it is s_x exp(m_x - m), so
-    ``linearize(y)`` is O(n_y) and ``evaluate(y)`` has no ``exp`` over x."""
+    ``linearize(y)`` is O(n_y), and ``evaluate(y)`` and ``x_products(y)`` have
+    no ``exp`` over x."""
 
     @staticmethod
     def blocks(objective: LogSumExpProblem, part: BlockPartition):
@@ -239,12 +254,12 @@ class LogSumExpRestricted(Restricted):
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
         super().__init__(restriction, x)
-        (a_x, b_x, d_x), (self.a_y, self.b_y, self.d_y) = restriction.blocks
-        t = b_x * x
+        (a_x, self.b_x, self.d_x), (self.a_y, self.b_y, self.d_y) = restriction.blocks
+        t = self.b_x * x
         self.m_x = float(t.max())
         e = a_x * np.exp(t - self.m_x)
         self.s_x = float(e.sum())
-        self.be_x, self.dx = b_x * e, d_x * x
+        self.be_x, self.dx = self.b_x * e, self.d_x * x
 
     def _softmax(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
         """(log of the partition sum, g = b_y w_y, the x-block weight scale)."""
@@ -266,6 +281,19 @@ class LogSumExpRestricted(Restricted):
         dy = self.d_y * y
         val = lse + 0.5 * (float(self.x @ self.dx) + float(y @ dy))
         return val, self.be_x * scale + self.dx, g + dy
+
+    def x_products(self, y: np.ndarray):
+        """With g_x = be_x scale the blocks of diag(b g) - g g' + D give
+        v -> ((b_x g_x) v - g_x (g_x v) + d_x v, -g (g_x v)) and
+        w -> -g_x (g w), in O(n) per product."""
+        _, g, scale = self._softmax(y)
+        g_x = self.be_x * scale
+        bg_x, d_x = self.b_x * g_x, self.d_x
+
+        def along_x(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            gv = float(g_x @ v)
+            return bg_x * v - g_x * gv + d_x * v, -(g * gv)
+        return along_x, lambda w: -(g_x * float(g @ w))
 
 
 class LogSumExpProblem(Objective):
@@ -291,27 +319,6 @@ class LogSumExpProblem(Objective):
             raise ConstructionFailure("coefficients must be positive")
         self.partition = BlockPartition.eliminate_leading(n, n_el)
 
-    @classmethod
-    def custom(cls, a_coeffs, b_coeffs, d_diag, n_el: int | None = None) -> "LogSumExpProblem":
-        """Instance with explicit coefficient arrays.
-
-        Allows d_i = 0 (convex but not strongly convex) for formula-level
-        checks; strong convexity is only guaranteed with positive d_diag.
-        """
-        obj = cls.__new__(cls)
-        obj.a_coeffs = as_vector(a_coeffs)
-        obj.b_coeffs = as_vector(b_coeffs)
-        obj.d_diag = as_vector(d_diag)
-        obj.n = obj.a_coeffs.size
-        if obj.b_coeffs.size != obj.n or obj.d_diag.size != obj.n:
-            raise DimensionMismatch("coefficient arrays must share one length")
-        if np.any(obj.a_coeffs <= 0) or np.any(obj.d_diag < 0):
-            raise ConstructionFailure("need a_i > 0 and d_i >= 0")
-        obj.n_el = n_el if n_el is not None else 0
-        obj.partition = (BlockPartition.eliminate_leading(obj.n, obj.n_el)
-                         if 1 <= obj.n_el < obj.n else None)
-        return obj
-
     def _softmax_weights(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         # max-shift keeps the exponentials finite for b_i z_i up to overflow scale
         t = self.b_coeffs * z
@@ -333,17 +340,6 @@ class LogSumExpProblem(Objective):
         _, w = self._softmax_weights(z)
         g_soft = self.b_coeffs * w
         return self.b_coeffs * g_soft * v - g_soft * float(g_soft @ v) + self.d_diag * v
-
-    def dense_hessian(self, z: np.ndarray) -> np.ndarray:
-        """Assembled Hessian; intended for small-n diagnostics only."""
-        self._check_dim(z)
-        _, w = self._softmax_weights(z)
-        g_soft = self.b_coeffs * w
-        return (
-            np.diag(self.b_coeffs * g_soft)
-            - np.outer(g_soft, g_soft)
-            + np.diag(self.d_diag)
-        )
 
 
 def build_test_matrix(

@@ -26,6 +26,8 @@ from varred.problems import (
     build_test_matrix,
 )
 
+from oracles import lse_dense_hessian
+
 
 def two_by_two_problem():
     # A = [[2,1],[1,2]], b = (1,1): h(x) = (1 - x)/2, S = 3/2
@@ -336,6 +338,18 @@ class TestReducedObjective:
                     e[i] = eps
                     fd[i] = (reduced.value(x + e) - reduced.value(x - e)) / (2 * eps)
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+
+    def test_partition_comes_from_the_map(self):
+        p = LogSumExpProblem(60, 4)
+        part = BlockPartition.eliminate_trailing(60, 4)
+        elim = NewtonElimination(p, part)
+        with pytest.raises(DimensionMismatch):
+            ReducedObjective(p, p.partition, elim)
+        reduced = ReducedObjective(p, elim=elim)
+        assert ReducedObjective(p, part, elim).partition is reduced.partition is part
+        x, d = np.zeros(56), np.ones(56)
+        h_xx = lse_dense_hessian(p, part.embed(x, reduced.eliminated_point(x)))[:56, :56]
+        assert reduced.curvature_along(x, d) == pytest.approx(d @ h_xx @ d / 56, rel=1e-13)
 
     def test_hvp_block_diagonal_and_hand_case(self):
         p = build_test_matrix(3, 4, (1, 5), (1, 9), 0.0, seed=13)

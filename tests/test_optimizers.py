@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.problems
 from varred.errors import DegenerateCurvature, LineSearchFailure, MaxIterReached
 from varred.elimination import (
     NewtonElimination,
     QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
-    reduced_newton_operator,
 )
 from varred.linalg import LinOp, cg_solve
 from varred.optimizers import (
@@ -24,6 +24,8 @@ from varred.optimizers import (
     pgd_inexact,
 )
 from varred.problems import LogSumExpProblem, Objective, QuadraticProblem, build_test_matrix
+
+from oracles import lse_minimizer
 
 
 class TestOptimalStep:
@@ -121,6 +123,14 @@ class TestGradientDescent:
         assert rec.final.rel_grad_norm <= 1e-6
         vals = np.array([r.fval for r in rec.rows])
         assert np.all(np.diff(vals) <= 1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
+
+    def test_reduced_optimal_step_on_logsumexp_reaches_the_dense_oracle(self):
+        p = LogSumExpProblem(60, 4)
+        reduced = ReducedObjective(p)
+        x, _ = gradient_descent(reduced, np.zeros(56), StopRule(max_iter=1000),
+                                step_mode="optimal_quadratic")
+        z, z_star = p.partition.embed(x, reduced.eliminated_point(x)), lse_minimizer(p)
+        assert np.linalg.norm(z - z_star) <= 1e-4 * np.linalg.norm(z_star)
 
     def test_record_row_zero_definition(self):
         p = QuadraticProblem(np.eye(2), np.ones(2))
@@ -302,14 +312,37 @@ class TestNewtonEliminated:
         reduced = ReducedObjective(p, part, elim)
         rng = np.random.default_rng(10)
         x = rng.standard_normal(21) * 0.3
-        z_inc = part.embed(x, reduced.eliminated_point(x))
-        jf = reduced_newton_operator(p, part, z_inc)
+        jf = reduced.hessian_op(x)
         for _ in range(3):
             v = rng.standard_normal(21)
             eps = 1e-6
             fd = (reduced.gradient(x + eps * v) - reduced.gradient(x - eps * v)) / (2 * eps)
             jv = jf(v)
             assert np.linalg.norm(jv - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
+
+    def test_logsumexp_reduced_hessian_products_make_no_exp(self, monkeypatch):
+        # the reduced Hessian at x is formed from the cached J(x, .): its
+        # products run no exp at all, over n, n_x or n_y
+        p = LogSumExpProblem(60, 4)
+        sizes, per_product = [], []
+        exp, hessian_op = np.exp, ReducedObjective.hessian_op
+
+        def counted(reduced, x):
+            op = hessian_op(reduced, x)
+
+            def apply(v):
+                before = len(sizes)
+                hv = op(v)
+                per_product.append(sizes[before:])
+                return hv
+            return LinOp(dim=op.dim, apply=apply)
+
+        monkeypatch.setattr(varred.problems.np, "exp", lambda a: sizes.append(a.size) or exp(a))
+        monkeypatch.setattr(ReducedObjective, "hessian_op", counted)
+        _, rec = newton_eliminated(p, p.partition, x0=np.zeros(56),
+                                   stop=StopRule(rel_grad_tol=1e-9, max_iter=30))
+        assert rec.iterations >= 3 and len(per_product) > rec.iterations
+        assert all(s == [] for s in per_product)
 
 
 class QuarticPlusQuadratic(Objective):

@@ -14,6 +14,8 @@ from varred.problems import (
     build_test_matrix,
 )
 
+from oracles import lse_dense_hessian, lse_with_coefficients
+
 
 def central_diff_gradient(f, z, step=None):
     z = np.asarray(z, dtype=float)
@@ -131,13 +133,13 @@ class TestQuadraticEval:
 class TestLogSumExpEval:
     def test_single_term(self):
         # log(e^0) = 0, gradient b*softmax = 1
-        p = LogSumExpProblem.custom([1.0], [1.0], [0.0])
+        p = lse_with_coefficients([1.0], [1.0], [0.0])
         val, grad = p.evaluate(np.zeros(1))
         assert val == pytest.approx(0.0, abs=1e-15)
         assert grad[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_symmetric_two_terms(self):
-        p = LogSumExpProblem.custom([1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+        p = lse_with_coefficients([1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
         val, grad = p.evaluate(np.zeros(2))
         assert val == pytest.approx(np.log(2.0), rel=1e-15)
         np.testing.assert_allclose(grad, [0.5, 0.5], atol=1e-15)
@@ -181,7 +183,7 @@ class TestLogSumExpHVP:
 
     def test_single_term_curvature_vanishes(self):
         # second derivative of log(e^x) = x is zero
-        p = LogSumExpProblem.custom([1.0], [1.0], [0.0])
+        p = lse_with_coefficients([1.0], [1.0], [0.0])
         assert p.hessian_vec(np.zeros(1), np.ones(1))[0] == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=20, deadline=None)
@@ -204,7 +206,7 @@ class TestLogSumExpHVP:
             n_el = int(rng.integers(1, n))
             p = LogSumExpProblem(n, n_el)
             z = rng.standard_normal(n)
-            w = np.linalg.eigvalsh(p.dense_hessian(z))
+            w = np.linalg.eigvalsh(lse_dense_hessian(p, z))
             assert w[0] >= p.d_diag.min() - 1e-10
 
 
@@ -245,6 +247,19 @@ def _assembled(op):
     return np.column_stack([op(e) for e in np.eye(op.dim)])
 
 
+def _x_blocks(restricted, part, y):
+    """grad_xx J, grad_yx J and grad_xy J assembled from ``x_products(y)``."""
+    along_x, xy = restricted.x_products(y)
+    cols = [along_x(e) for e in np.eye(part.n_x)]
+    return (np.column_stack([c[0] for c in cols]), np.column_stack([c[1] for c in cols]),
+            np.column_stack([xy(e) for e in np.eye(part.n_y)]))
+
+
+def _dense_x_blocks(h, part):
+    xi, yi = part.x_indices, part.y_indices
+    return h[np.ix_(xi, xi)], h[np.ix_(yi, xi)], h[np.ix_(xi, yi)]
+
+
 class TestYLinearization:
     """The restriction of J to the eliminated block at a frozen x:
     ``linearize`` and ``evaluate`` against the full gradient and the assembled
@@ -252,7 +267,7 @@ class TestYLinearization:
 
     @pytest.mark.parametrize("kind", ["leading", "trailing", "scattered", "swapped"])
     @pytest.mark.parametrize("make, dense_hessian", [
-        (lambda: LogSumExpProblem(15, 6), lambda p, z: p.dense_hessian(z)),
+        (lambda: LogSumExpProblem(15, 6), lse_dense_hessian),
         (lambda: build_test_matrix(6, 9, (1, 5), (1, 40), 1e-1, seed=4), lambda p, z: p.a),
     ], ids=["logsumexp", "quadratic"])
     def test_matches_full_gradient_and_dense_hessian(self, make, dense_hessian, kind):
@@ -262,7 +277,8 @@ class TestYLinearization:
         x, y = part.split(z)
         val, g = p.evaluate(z)
         full = (val, g[part.x_indices], g[part.y_indices], g[part.y_indices])
-        dense = dense_hessian(p, z)[np.ix_(part.y_indices, part.y_indices)]
+        h = dense_hessian(p, z)
+        dense = h[np.ix_(part.y_indices, part.y_indices)]
         # the problem's own restriction, and the generic route through the
         # full evaluation and Hessian product, which is exact
         for restricted, exact in ((p.restrict(part).at(x), False),
@@ -270,13 +286,17 @@ class TestYLinearization:
             g_y, h_yy = restricted.linearize(y)
             np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
             got = (*restricted.evaluate(y), g_y)
+            blocks = zip(_x_blocks(restricted, part, y), _dense_x_blocks(h, part))
             if exact:
                 assert got[0] == val
                 assert all(np.array_equal(a, b) for a, b in zip(got[1:], full[1:]))
+                assert all(np.array_equal(a, b) for a, b in blocks)
             else:
                 assert got[0] == pytest.approx(val, rel=1e-13)
                 for a, b in zip(got[1:], full[1:]):
                     assert np.abs(a - b).max() <= 1e-13 * np.abs(g).max()
+                for a, b in blocks:
+                    assert np.abs(a - b).max() <= 1e-13 * np.abs(h).max()
 
     @pytest.mark.parametrize("x_fill, y_fill", [(0.0, 100.0), (0.0, -100.0), (80.0, 0.0)],
                              ids=["y-max-x-underflows", "x-max-y-underflows", "x-max"])
@@ -296,12 +316,15 @@ class TestYLinearization:
         assert np.abs(g_y - g[part.y_indices]).max() <= tol
         g_lin, h_yy = restricted.linearize(y)
         assert np.array_equal(g_lin, g_y)
-        dense = p.dense_hessian(z)[np.ix_(part.y_indices, part.y_indices)]
+        h = lse_dense_hessian(p, z)
+        dense = h[np.ix_(part.y_indices, part.y_indices)]
         np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
+        for a, b in zip(_x_blocks(restricted, part, y), _dense_x_blocks(h, part)):
+            assert np.all(np.isfinite(a)) and np.abs(a - b).max() <= 1e-13 * np.abs(h).max()
 
     def test_logsumexp_one_softmax_pass(self, monkeypatch):
-        # at(x): one exp over the x block; linearize and evaluate: one over
-        # the y block each; operator products: none
+        # at(x): one exp over the x block; linearize, evaluate and
+        # x_products: one over the y block each; products: none
         p = LogSumExpProblem(50, 7)
         sizes = []
         exp = np.exp
@@ -311,7 +334,11 @@ class TestYLinearization:
         for v in np.eye(7):
             h_yy(v)
         restricted.evaluate(np.full(7, 0.3))
-        assert sizes == [43, 7, 7]
+        along_x, xy = restricted.x_products(np.full(7, 0.3))
+        for _ in range(3):
+            along_x(np.ones(43))
+            xy(np.ones(7))
+        assert sizes == [43, 7, 7, 7]
 
     def test_quadratic_copies_no_submatrix_before_a_product(self, monkeypatch):
         p = build_test_matrix(4, 6, (1, 5), (1, 20), 1e-1, seed=1)
