@@ -171,9 +171,7 @@ class ScheduledInexactElimination:
         self.partition = inner.partition
         self.tol_init = tol_init
         self.rho = rho
-        self.floor = inner.inner_tol
-        self.tol_current = max(tol_init, self.floor)
-        self._warm = np.zeros(self.partition.n_y)
+        self.reset(np.zeros(self.partition.n_y), inner.inner_tol)
 
     @staticmethod
     def check_rho(rho: float):
@@ -240,15 +238,14 @@ class ReducedObjective:
         return self.elim.counters
 
     def _ensure(self, x: np.ndarray) -> tuple:
-        # a cache hit needs no validation: only checked, finite x are cached
+        # a cache hit needs no validation: the map's solve checked the cached x
         if self._cache is not None and np.array_equal(self._cache[0], x):
             return self._cache
-        x = as_vector(x)
         self._cache = None  # free the old restriction before the solve makes one
         result = self.elim.solve(x)
-        val, g_x, g_y = result.restricted.evaluate(result.y)
-        self._cache = (x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)),
-                       result.restricted)
+        r = result.restricted
+        val, g_x, g_y = r.evaluate(result.y)
+        self._cache = (r.x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)), r)
         return self._cache
 
     def value(self, x: np.ndarray) -> float:
@@ -264,18 +261,16 @@ class ReducedObjective:
     def eliminated_point(self, x: np.ndarray) -> np.ndarray:
         return self._ensure(x)[1]
 
-    def accept(self, x: np.ndarray) -> bool:
+    def accept(self, x: np.ndarray):
         """Register x as the next outer iterate.
 
         A scheduled map takes h(x) as its warm start and tightens its
-        tolerance, which changes J~; the cached evaluation is then dropped and
-        True returned.  Other maps are left alone (False).
+        tolerance, which changes J~, so the cached evaluation is dropped.
+        Other maps are left alone.
         """
-        if not isinstance(self.elim, ScheduledInexactElimination):
-            return False
-        self.elim.accept(self.eliminated_point(x))
-        self._cache = None
-        return True
+        if isinstance(self.elim, ScheduledInexactElimination):
+            self.elim.accept(self.eliminated_point(x))
+            self._cache = None
 
     def settled(self, x: np.ndarray) -> bool:
         """Whether the inner residual at x is down to the schedule floor, so

@@ -141,11 +141,12 @@ def orthogonal_from_rng(rng: np.random.Generator, order: int) -> np.ndarray:
     return q * signs
 
 
-def spd_check(m: np.ndarray) -> bool:
-    """True iff a Cholesky factorization succeeds with all pivots positive."""
-    a = sym_matrix(m)
+def spd_check(a: np.ndarray) -> bool:
+    """True iff a Cholesky factorization of the symmetric matrix ``a`` succeeds
+    with all pivots positive and finite.  ``a`` is used as given, not
+    symmetrised (see :func:`sym_matrix`): only its lower triangle is read."""
     try:
-        np.linalg.cholesky(a)
+        pivots = np.diag(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.all(np.isfinite(pivots)))

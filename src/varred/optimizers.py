@@ -179,12 +179,11 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
         last_step=t / p.shrink, last_value=last_val)
 
 
-# The outer loop takes an advance rule, (x, g, J(x)) -> (x_next, t, J(x_next)),
-# or (x_next, t, None) when the rule never evaluated J at x_next.  Line-search
-# methods build theirs with :func:`_line_step` from a direction rule,
-# (x, g) -> d, and a step rule, (x, d, g, J(x)) -> (t, J(x + t d)) or
-# (t, None).  Rules look ``armijo_search``, ``optimal_step_quadratic`` and
-# ``linalg.cg_solve`` up at call time, once per outer iteration, so
+# The outer loop takes an advance rule, (x, g, J(x)) -> (x_next, t), and
+# evaluates J and grad J at x_next itself.  Line-search methods build theirs
+# with :func:`_line_step` from a direction rule, (x, g) -> d, and a step rule,
+# (x, d, g, J(x)) -> t.  Rules look ``armijo_search``, ``optimal_step_quadratic``
+# and ``linalg.cg_solve`` up at call time, once per outer iteration, so
 # instrumentation that replaces those names sees every call.
 
 def _steepest(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ def _newton_direction(reduced: ReducedObjective):
 def _optimal_step(obj):
     """Closed-form quadratic step along -g through the objective's Hessian product."""
     def step(x, d, g, val):
-        return optimal_step_quadratic(g, lambda v: obj.hessian_vec(x, v)), None
+        return optimal_step_quadratic(g, lambda v: obj.hessian_vec(x, v))
     return step
 
 
@@ -217,10 +216,10 @@ def _armijo_step(obj, p: ArmijoParams, t_first: float | None = None):
         if t0 is None:
             lam = obj.curvature_along(x, d)
             t0 = p.t0 / lam if lam > 0.0 else p.t0
-        t, val, _ = armijo_search(obj.value, x, d, g, p, t0=t0, f_x=val)
+        t = armijo_search(obj.value, x, d, g, p, t0=t0, f_x=val)[0]
         if t_first is None:
             t_next = t
-        return t, val
+        return t
     return step
 
 
@@ -228,20 +227,20 @@ def _line_step(direction, step):
     """Advance rule x + t d from a direction rule and a step rule."""
     def advance(x, g, val):
         d = direction(x, g)
-        t, val = step(x, d, g, val)
-        return x + t * d, t, val
+        t = step(x, d, g, val)
+        return x + t * d, t
     return advance
 
 
 def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
              name: str, counters: tuple[WorkCounters, ...] = ()) -> tuple[np.ndarray, ConvergenceRecord]:
     """The one outer loop, x <- advance(x, g, J(x)), on a full-space objective
-    or a :class:`ReducedObjective`.
+    or a :class:`ReducedObjective`, with one ``evaluate`` per iterate.
 
     The record counts the inner work of ``counters``, or of a reduced
-    objective's map.  A reduced objective is told of each accepted iterate (a
-    scheduled map then re-evaluates J~ there) and must be settled before the
-    run converges.  Raises :class:`MaxIterReached` (record attached) when the
+    objective's map.  A reduced objective is told of each accepted iterate
+    before it is evaluated there and must be settled before the run
+    converges.  Raises :class:`MaxIterReached` (record attached) when the
     budget runs out.
     """
     reduced = obj if isinstance(obj, ReducedObjective) else None
@@ -256,13 +255,10 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
                 f"{name}: no convergence within {stop.max_iter} iterations "
                 f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
         k += 1
-        x, t, val = advance(x, g, val)
-        if reduced is not None and reduced.accept(x):
-            val = None
-        if val is None:
-            val, g = obj.evaluate(x)
-        else:
-            g = obj.gradient(x)
+        x, t = advance(x, g, val)
+        if reduced is not None:
+            reduced.accept(x)
+        val, g = obj.evaluate(x)
         g_norm = float(np.linalg.norm(g))
         rec.add(k, val, g_norm, t, x)
     return x, rec.record
@@ -295,11 +291,11 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
                 x0: np.ndarray, y0: np.ndarray, stop: StopRule,
                 p: ArmijoParams | None = None,
                 keep_iterates: bool = False) -> tuple[np.ndarray, np.ndarray, ConvergenceRecord]:
-    """PGD with scheduled inexact elimination.
+    """PGD with scheduled inexact elimination: :func:`gradient_descent` with
+    Armijo on J~ once ``reset`` starts the schedule from the warm start ``y0``.
 
-    Each outer iteration evaluates the inexact map at the scheduled tolerance,
-    steps along -grad_x J(x, h^(x)) with Armijo backtracking (trial points
-    re-evaluate the map), then updates the warm start and shrinks the
+    Each outer iteration evaluates the inexact map at the scheduled tolerance
+    (trial points included), then updates the warm start and shrinks the
     tolerance.  Converged once the relative reduced-gradient norm meets the
     stop rule AND the inner residual of the evaluated point is below the
     schedule floor, so the descent direction's inexactness is consistent with
@@ -308,9 +304,7 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     # inner residual floor two decades below the outer relative tolerance
     elim.reset(y0, floor=1e-2 * stop.rel_grad_tol)
     reduced = ReducedObjective(obj, part, elim)
-    x, record = _descend(reduced, as_vector(x0).copy(), stop,
-                         _line_step(_steepest, _armijo_step(reduced, p or ArmijoParams())),
-                         keep_iterates, "inexact PGD")
+    x, record = gradient_descent(reduced, x0, stop, armijo=p, keep_iterates=keep_iterates)
     return x, reduced.eliminated_point(x), record
 
 
@@ -331,7 +325,7 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
     def sweep(z, g, val):
         x_cur, y_cur = part.split(z)
         x_new = x_solver.solve(y_cur, y0=x_cur).y
-        return part.embed(x_new, y_solver.solve(x_new, y0=y_cur).y), 1.0, None
+        return part.embed(x_new, y_solver.solve(x_new, y0=y_cur).y), 1.0
 
     return _descend(obj, as_vector(z0).copy(), stop, sweep, keep_iterates,
                     "alternating minimization", (x_solver.counters, y_solver.counters))

@@ -315,8 +315,6 @@ class LogSumExpProblem(Objective):
         self.a_coeffs = np.arange(1, n + 1, dtype=float)
         self.b_coeffs = np.where(np.arange(n) < n_el, 10.0, 1.0)
         self.d_diag = np.where(np.arange(n) < n_el, 1e-4, 1e-2)
-        if np.any(self.a_coeffs <= 0) or np.any(self.d_diag <= 0):
-            raise ConstructionFailure("coefficients must be positive")
         self.partition = BlockPartition.eliminate_leading(n, n_el)
 
     def _softmax_weights(self, z: np.ndarray) -> tuple[float, np.ndarray]:

@@ -132,3 +132,8 @@ class TestSPDCheck:
 
     def test_positive_2x2(self):
         assert spd_check(np.array([[2.0, 1.0], [1.0, 2.0]]))  # eigenvalues 1, 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lower_triangle(self, bad):
+        # a non-finite entry reaches a pivot instead of passing as SPD
+        assert not spd_check(np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [bad, 0.0, 2.0]]))

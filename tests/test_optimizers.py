@@ -417,6 +417,28 @@ class TestObjectiveContract:
         assert np.linalg.norm(z - z_star) <= 1e-4 * np.linalg.norm(z_star)
 
 
+def _no_gradient(*args):
+    raise AssertionError("the outer loop reads J and its gradient through evaluate")
+
+
+class TestLoopContract:
+    """The outer loop reads J and grad J at each iterate from one ``evaluate``,
+    after any step rule, and never calls ``gradient``."""
+
+    def test_armijo_gradient_descent_on_a_quadratic(self):
+        p = build_test_matrix(4, 5, (1.0, 10.0), (1.0, 50.0), 0.1, seed=3)
+        p.gradient = _no_gradient
+        _, rec = gradient_descent(p, np.zeros(p.n), StopRule(1e-6, 5000), step_mode="armijo")
+        assert rec.iterations > 1 and rec.final.rel_grad_norm <= 1e-6
+
+    def test_newton_eliminated_on_logsumexp(self, monkeypatch):
+        p = LogSumExpProblem(40, 4)
+        monkeypatch.setattr(ReducedObjective, "gradient", _no_gradient)
+        _, rec = newton_eliminated(p, p.partition, x0=np.zeros(36),
+                                   stop=StopRule(rel_grad_tol=1e-9, max_iter=30))
+        assert rec.iterations > 1 and rec.final.rel_grad_norm <= 1e-9
+
+
 class TestRateBound:
     def test_identity_matrix_trivial_bound(self):
         p = QuadraticProblem(np.eye(3), np.array([1.0, 2.0, -1.0]))
