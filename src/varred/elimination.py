@@ -10,10 +10,10 @@ through it and return a warm start that already meets the active tolerance
 unchanged, with zero inner iterations.  The reduced objective keeps that J(x, .)
 with its last point: it reads J, grad_x J and the inner residual
 ||grad_y J(x, y)|| off its ``evaluate(y)``, and the reduced Hessian off its
-``linearize(y)`` and ``x_products(y)``.  Maps carry
-warm-start state and work counters, so a map instance is confined to a single
-optimizer run; distinct instances over the same (immutable) problem may run
-concurrently.
+``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J evaluates
+through S, never the full A.  Maps carry warm-start state and work counters,
+so a map instance is confined to a single optimizer run; distinct instances
+over the same (immutable) problem may run concurrently.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
 from .linalg import LinOp, as_vector, cg_solve
-from .problems import BlockPartition, Objective, QuadraticProblem, Restricted
+from .problems import BlockPartition, Objective, QuadraticProblem, QuadraticRestricted, Restricted
 
 
 @dataclass
@@ -48,14 +48,30 @@ class EliminationResult:
     restricted: Restricted  # J(x, .) at the solve's x
 
 
+class CondensedRestricted(QuadraticRestricted):
+    """J(x, .) of a :class:`QuadraticExactElimination` ``elim``.  ``evaluate``
+    holds at y = h(x) only, the one y the reduced objective passes: it is
+    (J~, S x - b~, 0) in O(n_x^2), and the full A is never touched."""
+
+    def __init__(self, elim: QuadraticExactElimination, x: np.ndarray):
+        super().__init__(elim.restriction, x)
+        self.elim = elim
+
+    def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        e, x = self.elim, self.x
+        g = e.s @ x - e.b_tilde
+        return 0.5 * float(x @ (g - e.b_tilde)) + e.c_tilde, g, np.zeros(y.size)
+
+
 class QuadraticExactElimination:
     """Static condensation for a quadratic problem: h(x) = A22^{-1}(b2 - A21 x).
 
     A22 never changes, so the constructor makes one dense solve against
-    [A21 | b2] and keeps W = A22^{-1} A21, u = A22^{-1} b2 and the Schur
-    complement S = A11 - A12 W (symmetrised).  Then h(x) = u - W x and a Schur
-    product is S v.  The map does no iterative work, so its counters stay at
-    zero; ``y0`` and ``tol`` are ignored.
+    [A21 | b2] and keeps W = A22^{-1} A21, u = A22^{-1} b2, the Schur
+    complement S = A11 - A12 W (symmetrised), b~ = b1 - A12 u and
+    c~ = c - b2'u / 2.  Then h(x) = u - W x, a Schur product is S v, and
+    J~(x) = x'(S x - 2 b~) / 2 + c~ costs O(n_x^2).  The map does no
+    iterative work, so its counters stay at zero; ``y0`` and ``tol`` are ignored.
     """
 
     def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
@@ -64,18 +80,21 @@ class QuadraticExactElimination:
         a, b = problem.a, problem.b
         w_u = np.linalg.solve(a[np.ix_(yi, yi)], np.column_stack([a[np.ix_(yi, xi)], b[yi]]))
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
-        s = a[np.ix_(xi, xi)] - a[np.ix_(xi, yi)] @ self.w
+        a_xy = a[np.ix_(xi, yi)]
+        s = a[np.ix_(xi, xi)] - a_xy @ self.w
         self.s = 0.5 * (s + s.T)
+        self.b_tilde = b[xi] - a_xy @ self.u
+        self.c_tilde = problem.c - 0.5 * float(b[yi] @ self.u)
         self.restriction = problem.restrict(self.partition)
         self.counters = WorkCounters()
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
-        """y = u - W x."""
+        """y = u - W x, with J(x, .) evaluated through the condensation."""
         x = as_vector(x)
         if x.size != self.partition.n_x:
             raise DimensionMismatch("x has the wrong length for this partition")
-        return EliminationResult(self.u - self.w @ x, 0, self.restriction.at(x))
+        return EliminationResult(self.u - self.w @ x, 0, CondensedRestricted(self, x))
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
         """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
@@ -310,6 +329,9 @@ class ReducedObjective:
         Uses d' grad_xx J d, an upper bound for the reduced (Schur) curvature,
         so steps scaled by its inverse never overshoot the reduced scale.
         """
+        nd2 = float(d @ d)
+        if nd2 == 0.0:
+            raise ValueError("direction must be nonzero")
         _, y, *_, restricted = self._ensure(x)
         along_x, _ = restricted.x_products(y)
-        return float(d @ along_x(d)[0]) / float(d @ d)
+        return float(d @ along_x(d)[0]) / nd2

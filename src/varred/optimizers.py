@@ -142,7 +142,6 @@ class _Recorder:
 
 def optimal_step_quadratic(g: np.ndarray, hvp) -> float:
     """Exact minimizing step along -g for a quadratic: (g'g)/(g'Hg)."""
-    g = as_vector(g)
     gg = float(g @ g)
     if gg == 0.0:
         raise ValueError("gradient must be nonzero")

@@ -108,6 +108,44 @@ class TestQuadraticExactElimination:
             np.testing.assert_allclose(x, z_star[:5], rtol=1e-6, atol=1e-7)
             assert record.final.cum_linear_solves == 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_condensed_evaluation_matches_dense_oracle(self, seed):
+        # J~ and grad J~ through S, b~ and c~ against J(x, h(x)), with h(x)
+        # from a dense solve on A22, on a random partition
+        rng = np.random.default_rng(seed)
+        p = build_test_matrix(int(rng.integers(2, 8)), int(rng.integers(2, 8)),
+                              (1, 5), (1, 30), 2e-1, seed=seed)
+        k = int(rng.integers(1, p.n))
+        perm = rng.permutation(p.n)
+        part = BlockPartition(p.n, np.sort(perm[:k]), np.sort(perm[k:]))
+        xi, yi = part.x_indices, part.y_indices
+        elim = QuadraticExactElimination(p, part)
+        reduced = ReducedObjective(p, part, elim)
+        for _ in range(3):
+            x = rng.standard_normal(k)
+            y = np.linalg.solve(p.a[np.ix_(yi, yi)], p.b[yi] - p.a[np.ix_(yi, xi)] @ x)
+            val, g = p.evaluate(part.embed(x, y))
+            got_val, got_g = reduced.evaluate(x)
+            assert got_val == pytest.approx(val, rel=1e-12, abs=0.0)
+            assert np.linalg.norm(got_g - g[xi]) <= 1e-12 * np.linalg.norm(g[xi])
+            res = elim.solve(x)
+            assert not res.restricted.evaluate(res.y)[2].any()
+
+    def test_pgd_never_evaluates_the_problem(self, monkeypatch):
+        # once the map is built, J~ and its gradient come from the condensation
+        def no_evaluate(z):
+            raise AssertionError("a reduced evaluation evaluated the full problem")
+
+        p = build_test_matrix(5, 8, (1, 4), (1, 30), 1e-1, seed=17)
+        z_star = np.linalg.solve(p.a, p.b)
+        modes = ("optimal_quadratic", "armijo")
+        reduced = {mode: ReducedObjective(p) for mode in modes}
+        monkeypatch.setattr(p, "evaluate", no_evaluate)
+        for mode in modes:
+            x, _ = gradient_descent(reduced[mode], np.zeros(5), StopRule(rel_grad_tol=1e-8),
+                                    step_mode=mode)
+            np.testing.assert_allclose(x, z_star[:5], rtol=1e-6, atol=1e-7)
+
     def test_freed_without_the_cycle_collector(self):
         # no map, restriction or reduced objective holds a reference cycle, so
         # dropping one frees its blocks
@@ -129,7 +167,7 @@ class TestQuadraticExactElimination:
             gc.enable()
 
     def test_reduced_evaluation_slices_no_block(self, monkeypatch):
-        # the exact map's frozen J(x, .) is used only for the full evaluation,
+        # the exact map's frozen J(x, .) evaluates through the condensation,
         # so it never copies a submatrix
         p = build_test_matrix(3, 4, (1, 2), (1, 6), 1e-1, seed=5)
         reduced = ReducedObjective(p)
@@ -350,6 +388,13 @@ class TestReducedObjective:
         x, d = np.zeros(56), np.ones(56)
         h_xx = lse_dense_hessian(p, part.embed(x, reduced.eliminated_point(x)))[:56, :56]
         assert reduced.curvature_along(x, d) == pytest.approx(d @ h_xx @ d / 56, rel=1e-13)
+
+    def test_curvature_along_a_zero_direction_raises(self):
+        lse = LogSumExpProblem(60, 4)
+        for obj, elim in ((build_test_matrix(3, 4, seed=2), None), (lse, NewtonElimination(lse))):
+            reduced = ReducedObjective(obj, elim=elim)
+            with pytest.raises(ValueError, match="direction must be nonzero"):
+                reduced.curvature_along(np.ones(reduced.n), np.zeros(reduced.n))
 
     def test_hvp_block_diagonal_and_hand_case(self):
         p = build_test_matrix(3, 4, (1, 5), (1, 9), 0.0, seed=13)
