@@ -11,9 +11,11 @@ unchanged, with zero inner iterations.  The reduced objective keeps that J(x, .)
 with its last point: it reads J, grad_x J and the inner residual
 ||grad_y J(x, y)|| off its ``evaluate(y)``, and the reduced Hessian off its
 ``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J evaluates
-through S, never the full A.  Maps carry warm-start state and work counters,
-so a map instance is confined to a single optimizer run; distinct instances
-over the same (immutable) problem may run concurrently.
+through S, never the full A.  At an accepted outer iterate a scheduled map
+re-solves on that same J(x, .), so each point is frozen once.  Maps carry
+warm-start state and work counters, so a map instance is confined to a single
+optimizer run; distinct instances over the same (immutable) problem may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -130,14 +132,17 @@ class NewtonElimination:
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
+        """:meth:`solve_frozen` on J(x, .), from ``y0`` or the last solve's y."""
         x = as_vector(x)
         if x.size != self.partition.n_x:
             raise DimensionMismatch("x has the wrong length for this partition")
-        tol = self.inner_tol if tol is None else tol
         y = (self._warm if y0 is None else as_vector(y0)).copy()
         if y.size != self.partition.n_y:
             raise DimensionMismatch("y0 has the wrong length for this partition")
-        restricted = self.restriction.at(x)
+        return self.solve_frozen(self.restriction.at(x), y, self.inner_tol if tol is None else tol)
+
+    def solve_frozen(self, restricted: Restricted, y: np.ndarray, tol: float) -> EliminationResult:
+        """The Newton loop on a given J(x, .) from ``y``, which it does not modify."""
         g_y, h_yy = restricted.linearize(y)
         res = float(np.linalg.norm(g_y))
         steps = solves = 0
@@ -178,7 +183,8 @@ class ScheduledInexactElimination:
 
     The tolerance starts at ``tol_init`` and is multiplied by ``rho`` after
     each accepted outer step, floored so inner work stays bounded; the warm
-    start becomes the y returned at each accepted outer iterate.  The floor is
+    start becomes the y returned at each accepted outer iterate, and
+    :meth:`resolve` solves again on the J(x, .) frozen there.  The floor is
     the inner map's ``inner_tol`` until :meth:`reset` starts a run from a warm
     start with the floor its outer method derives from its own tolerance.
     """
@@ -208,6 +214,10 @@ class ScheduledInexactElimination:
 
     def solve(self, x: np.ndarray) -> EliminationResult:
         return self.inner.solve(x, y0=self._warm, tol=self.tol_current)
+
+    def resolve(self, restricted: Restricted) -> EliminationResult:
+        """What :meth:`solve` returns at x, on J(x, .) already frozen."""
+        return self.inner.solve_frozen(restricted, self._warm.copy(), self.tol_current)
 
     def accept(self, y: np.ndarray):
         """Register an accepted outer step: update warm start, shrink tolerance."""
@@ -261,11 +271,14 @@ class ReducedObjective:
         if self._cache is not None and np.array_equal(self._cache[0], x):
             return self._cache
         self._cache = None  # free the old restriction before the solve makes one
-        result = self.elim.solve(x)
+        self._cache = self._evaluated(self.elim.solve(x))
+        return self._cache
+
+    @staticmethod
+    def _evaluated(result: EliminationResult) -> tuple:
         r = result.restricted
         val, g_x, g_y = r.evaluate(result.y)
-        self._cache = (r.x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)), r)
-        return self._cache
+        return r.x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)), r
 
     def value(self, x: np.ndarray) -> float:
         return self._ensure(x)[2]
@@ -284,12 +297,16 @@ class ReducedObjective:
         """Register x as the next outer iterate.
 
         A scheduled map takes h(x) as its warm start and tightens its
-        tolerance, which changes J~, so the cached evaluation is dropped.
-        Other maps are left alone.
+        tolerance, then re-solves on the J(x, .) cached at x.  J~ is
+        evaluated anew only if that took Newton steps, and nothing at x is
+        kept if it raised.  Other maps are left alone.
         """
         if isinstance(self.elim, ScheduledInexactElimination):
-            self.elim.accept(self.eliminated_point(x))
+            entry = self._ensure(x)
             self._cache = None
+            self.elim.accept(entry[1])
+            result = self.elim.resolve(entry[5])
+            self._cache = entry if result.inner_iterations == 0 else self._evaluated(result)
 
     def settled(self, x: np.ndarray) -> bool:
         """Whether the inner residual at x is down to the schedule floor, so

@@ -241,8 +241,9 @@ class QuadraticProblem(Objective):
 
 class LogSumExpRestricted(Restricted):
     """J(x, .) on log-sum-exp.  ``at(x)`` makes the one ``exp`` over the x
-    block: the x part s_x of the partition sum, shifted by m_x = max b_x x.
-    Under the full shift m = max(m_x, max b_y y) it is s_x exp(m_x - m), so
+    block, in place in one buffer: the x part s_x of the partition sum,
+    shifted by m_x = max b_x x, and x'D_x x are formed once.  Under the full
+    shift m = max(m_x, max b_y y) the x part is s_x exp(m_x - m), so
     ``linearize(y)`` is O(n_y), and ``evaluate(y)`` and ``x_products(y)`` have
     no ``exp`` over x."""
 
@@ -255,11 +256,15 @@ class LogSumExpRestricted(Restricted):
     def __init__(self, restriction: Restriction, x: np.ndarray):
         super().__init__(restriction, x)
         (a_x, self.b_x, self.d_x), (self.a_y, self.b_y, self.d_y) = restriction.blocks
-        t = self.b_x * x
-        self.m_x = float(t.max())
-        e = a_x * np.exp(t - self.m_x)
+        e = self.b_x * x
+        self.m_x = float(e.max())
+        e -= self.m_x
+        np.exp(e, out=e)
+        e *= a_x
         self.s_x = float(e.sum())
-        self.be_x, self.dx = self.b_x * e, self.d_x * x
+        e *= self.b_x
+        self.be_x, self.dx = e, self.d_x * x
+        self.xdx = float(x @ self.dx)
 
     def _softmax(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
         """(log of the partition sum, g = b_y w_y, the x-block weight scale)."""
@@ -279,7 +284,7 @@ class LogSumExpRestricted(Restricted):
     def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         lse, g, scale = self._softmax(y)
         dy = self.d_y * y
-        val = lse + 0.5 * (float(self.x @ self.dx) + float(y @ dy))
+        val = lse + 0.5 * (self.xdx + float(y @ dy))
         return val, self.be_x * scale + self.dx, g + dy
 
     def x_products(self, y: np.ndarray):

@@ -15,7 +15,7 @@ from varred.elimination import (
     ReducedObjective,
     ScheduledInexactElimination,
 )
-from varred.errors import DimensionMismatch
+from varred.errors import DimensionMismatch, NonConvergence
 from varred.linalg import cg_solve, LinOp, sym_matrix
 from varred.optimizers import StopRule, gradient_descent, pgd_inexact
 from varred.problems import (
@@ -241,7 +241,7 @@ class TestNewtonLinearization:
         def full(*args):
             raise AssertionError("the inner solve evaluated J over all of z")
 
-        monkeypatch.setattr(varred.problems.np, "exp", lambda a: sizes.append(a.size) or exp(a))
+        monkeypatch.setattr(varred.problems.np, "exp", lambda a, **kw: sizes.append(a.size) or exp(a, **kw))
         monkeypatch.setattr(LogSumExpRestricted, "linearize", linearization)
         for name in ("evaluate", "gradient", "hessian_vec"):
             monkeypatch.setattr(p, name, full)
@@ -452,6 +452,77 @@ class TestReducedObjective:
         assert len(solved) == 3
         with pytest.raises(ValueError):  # a fresh point is still validated
             reduced.value(np.full(3, np.nan))
+
+
+class TestAcceptReSolve:
+    """``accept`` on a scheduled map re-solves on the J(x, .) cached at x."""
+
+    @staticmethod
+    def counted_evaluations(monkeypatch):
+        calls = []
+        evaluate = LogSumExpRestricted.evaluate
+        monkeypatch.setattr(LogSumExpRestricted, "evaluate",
+                            lambda r, y: calls.append(1) or evaluate(r, y))
+        return calls
+
+    def test_no_newton_steps_keeps_the_evaluation(self, monkeypatch):
+        p = LogSumExpProblem(40, 5)
+        x = np.linspace(-1.0, 1.0, 35)
+        y_star = NewtonElimination(p, inner_tol=1e-13).solve(x).y
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        sched.reset(y_star, floor=1e-10)
+        reduced = ReducedObjective(p, p.partition, sched)
+        evaluations = self.counted_evaluations(monkeypatch)
+        val, g = reduced.evaluate(x)
+        sched.solve = lambda x: pytest.fail("accept froze x a second time")
+        reduced.accept(x)
+        assert sched.tol_current == 5e-4 and len(evaluations) == 1
+        val_after, g_after = reduced.evaluate(x)
+        assert val_after == val and np.array_equal(g_after, g)
+
+    def test_newton_steps_match_a_fresh_solve(self, monkeypatch):
+        # the re-solve at the tightened tolerance gives the floats that a
+        # solve freezing x anew gives, with one more evaluation and no exp
+        # over the x block
+        p = LogSumExpProblem(40, 5)
+        x = np.linspace(-1.0, 1.0, 35)
+        sched = ScheduledInexactElimination(NewtonElimination(p), tol_init=1e-1, rho=1e-5)
+        sched.reset(np.zeros(5), floor=1e-10)
+        reduced = ReducedObjective(p, p.partition, sched)
+        y_loose = reduced.eliminated_point(x).copy()
+        evaluations = self.counted_evaluations(monkeypatch)
+        sizes = []
+        exp = np.exp
+        monkeypatch.setattr(varred.problems.np, "exp",
+                            lambda a, **kw: sizes.append(a.size) or exp(a, **kw))
+        reduced.accept(x)
+        assert len(evaluations) == 1 and 35 not in sizes
+        monkeypatch.undo()
+        fresh = NewtonElimination(p).solve(x, y0=y_loose, tol=1e-6)
+        assert fresh.inner_iterations > 0
+        val, g_x, _ = fresh.restricted.evaluate(fresh.y)
+        assert np.array_equal(reduced.eliminated_point(x), fresh.y)
+        val_after, g_after = reduced.evaluate(x)
+        assert val_after == val and np.array_equal(g_after, g_x)
+
+    def test_failed_re_solve_keeps_no_evaluation(self):
+        p = LogSumExpProblem(40, 5)
+        x = np.linspace(-1.0, 1.0, 35)
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        reduced = ReducedObjective(p, p.partition, sched)
+        reduced.evaluate(x)
+
+        def stalled(restricted):
+            raise NonConvergence("inner Newton stalled", residual=1.0, iterations=50)
+
+        sched.resolve = stalled
+        with pytest.raises(NonConvergence):
+            reduced.accept(x)
+        del sched.resolve
+        solved = []
+        sched.solve = lambda x: solved.append(1) or ScheduledInexactElimination.solve(sched, x)
+        reduced.evaluate(x)
+        assert solved == [1]
 
 
 class TestSchurConditioning:

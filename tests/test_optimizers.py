@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.optimizers
 import varred.problems
 from varred.errors import DegenerateCurvature, LineSearchFailure, MaxIterReached
 from varred.elimination import (
@@ -238,6 +239,48 @@ class TestPGDInexact:
         g_norm = np.linalg.norm(full_gradient(part.embed(x, y)))
         assert g_norm <= 1e-6 * np.linalg.norm(full_gradient(z0))
 
+    def test_reused_schedule_gives_identical_histories(self):
+        # reset leaves the re-solve at an accepted iterate no warm start or
+        # tolerance of the earlier run
+        p = LogSumExpProblem(60, 4)
+        part = p.partition
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        z0 = np.linspace(-1.0, 1.0, 60)
+        runs = []
+        for _ in range(2):
+            x, y, rec = pgd_inexact(p, part, sched, z0[part.x_indices], z0[part.y_indices],
+                                    StopRule(rel_grad_tol=1e-6, max_iter=500))
+            runs.append((x, y, [(r.iteration, r.fval, r.grad_norm, r.rel_grad_norm, r.step,
+                                 r.inner_iters, r.cum_linear_solves) for r in rec.rows]))
+        (x1, y1, rows1), (x2, y2, rows2) = runs
+        assert len(rows1) > 3 and any(r[5] > 0 for r in rows1[1:])
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+        # cum_linear_solves counts from the map's creation, so the second run's
+        # column is the first run's shifted by its total
+        offset = rows1[-1][6]
+        assert rows2 == [r[:6] + (r[6] + offset,) for r in rows1]
+
+    def test_accepted_iterate_is_not_frozen_again(self, monkeypatch):
+        # one exp over the x block at x0 and one per Armijo trial; the re-solve
+        # at an accepted iterate reuses the frozen J(x, .) of its trial
+        p = LogSumExpProblem(60, 4)
+        sizes, trials = [], []
+        exp, search = np.exp, varred.optimizers.armijo_search
+
+        def counted_search(*args, **kwargs):
+            result = search(*args, **kwargs)
+            trials.append(result[2])
+            return result
+
+        monkeypatch.setattr(varred.problems.np, "exp",
+                            lambda a, **kw: sizes.append(a.size) or exp(a, **kw))
+        monkeypatch.setattr(varred.optimizers, "armijo_search", counted_search)
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        _, _, rec = pgd_inexact(p, p.partition, sched, np.zeros(56), np.zeros(4),
+                                StopRule(rel_grad_tol=1e-6, max_iter=500))
+        assert len(trials) == rec.iterations > 3 and sum(trials) > rec.iterations
+        assert sizes.count(56) == 1 + sum(trials)
+
 
 class TestAlternatingMinimization:
     def test_block_diagonal_single_sweep(self):
@@ -337,7 +380,7 @@ class TestNewtonEliminated:
                 return hv
             return LinOp(dim=op.dim, apply=apply)
 
-        monkeypatch.setattr(varred.problems.np, "exp", lambda a: sizes.append(a.size) or exp(a))
+        monkeypatch.setattr(varred.problems.np, "exp", lambda a, **kw: sizes.append(a.size) or exp(a, **kw))
         monkeypatch.setattr(ReducedObjective, "hessian_op", counted)
         _, rec = newton_eliminated(p, p.partition, x0=np.zeros(56),
                                    stop=StopRule(rel_grad_tol=1e-9, max_iter=30))
