@@ -2,9 +2,14 @@
 """Sweep the eliminated-variable count on the log-sum-exp problem.
 
 For each n_el, runs full-space GD, PGD with exact elimination, and PGD with
-scheduled inexact elimination; writes a methods-by-n_el summary table.
-Exact elimination grows expensive with n_el while the inexact variant stays
-flat in both iterations and time.
+scheduled inexact elimination from z = 0; writes a methods-by-n_el summary
+table of outer iterations and seconds.  GD's iterations grow with n_el (at
+n = 1e5 it reaches the 20,000-iteration budget from n_el = 1,000 on), while
+both PGD variants stay within a few iterations and a few hundredths of a
+second at every n_el: at the default sizes both take 7 to 9, and at n = 1e5
+with n_el in {10, 100, 1000, 10000} exact PGD takes 2 and inexact PGD 2 to 3.
+The table shows no inner work, so it cannot show whether the inexact map
+needs less of it than the exact one.
 """
 
 import argparse

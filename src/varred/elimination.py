@@ -174,7 +174,7 @@ class NewtonElimination:
             self.counters.inner_iterations += steps
             self.counters.linear_solves += solves
 
-        self._warm = y.copy()
+        self._warm[:] = y  # one buffer per map, not an allocation per solve
         return EliminationResult(y, steps, restricted)
 
 
@@ -192,10 +192,8 @@ class ScheduledInexactElimination:
     def __init__(self, inner: NewtonElimination, tol_init: float = 1e-3,
                  rho: float = 0.5):
         self.check_rho(rho)
-        self.inner = inner
-        self.partition = inner.partition
-        self.tol_init = tol_init
-        self.rho = rho
+        self.inner, self.partition = inner, inner.partition
+        self.tol_init, self.rho = tol_init, rho
         self.reset(np.zeros(self.partition.n_y), inner.inner_tol)
 
     @staticmethod
@@ -245,8 +243,8 @@ class ReducedObjective:
     cached with the map's J(x, .), so a value/gradient pair at the same x costs
     one inner solve and curvature at x is read off the same restriction.  With
     a :class:`ScheduledInexactElimination`, :meth:`accept` advances the
-    schedule after each accepted outer step and :meth:`settled` holds
-    convergence back until the inner residual reaches the schedule floor.
+    schedule after each accepted outer step and :meth:`settle` re-solves at
+    the schedule floor once the outer stop test holds.
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
@@ -308,12 +306,14 @@ class ReducedObjective:
             result = self.elim.resolve(entry[5])
             self._cache = entry if result.inner_iterations == 0 else self._evaluated(result)
 
-    def settled(self, x: np.ndarray) -> bool:
-        """Whether the inner residual at x is down to the schedule floor, so
-        the inexact gradient is consistent with the outer tolerance.  Always
-        true for maps without a schedule."""
-        return (not isinstance(self.elim, ScheduledInexactElimination)
-                or self._ensure(x)[4] <= self.elim.floor)
+    def settle(self, x: np.ndarray) -> bool:
+        """Re-solve at x as :meth:`accept` does, but at the schedule floor, if the
+        inner residual there is above it; whether it did (never without a schedule)."""
+        if not isinstance(self.elim, ScheduledInexactElimination) or self._ensure(x)[4] <= self.elim.floor:
+            return False
+        self.elim.tol_current = self.elim.floor
+        self.accept(x)
+        return True
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         return self.elim.schur_hvp(v)

@@ -107,13 +107,13 @@ class ConvergenceRecord:
 
 class _Recorder:
     """Accumulates record rows from row 0 at (fval0, grad_norm0, x0) on,
-    tracking wall time and the inner-work deltas of the given counters (none
-    for full-space gradient descent)."""
+    tracking wall time, the inner-work deltas of the given counters (none for
+    full-space gradient descent) and their linear solves since ``solves0``."""
 
     def __init__(self, counters: tuple[WorkCounters, ...], keep_iterates: bool,
-                 fval0: float, grad_norm0: float, x0: np.ndarray):
+                 solves0: int, fval0: float, grad_norm0: float, x0: np.ndarray):
         self.record = ConvergenceRecord(iterates=[] if keep_iterates else None)
-        self._counters = counters
+        self._counters, self._solves0 = counters, solves0
         self._start = time.perf_counter()
         self._last_inner, _ = self._work()
         self._g0 = grad_norm0
@@ -121,19 +121,24 @@ class _Recorder:
 
     def _work(self) -> tuple[int, int]:
         inner = solves = 0
-        for counters in self._counters:
-            i, s = counters.snapshot()
-            inner += i
-            solves += s
+        for c in self._counters:
+            inner, solves = inner + c.inner_iterations, solves + c.linear_solves
         return inner, solves
 
-    def add(self, k: int, fval: float, grad_norm: float, step: float, x: np.ndarray):
+    def add(self, k: int, fval: float, grad_norm: float, step: float, x: np.ndarray,
+            revise: bool = False):
+        """Append row k; with ``revise`` it replaces the last row, a new evaluation
+        at its x, and counts the inner work since the row before that one."""
+        if revise:
+            self._last_inner -= self.record.rows.pop().inner_iters
+            if self.record.iterates is not None:
+                self.record.iterates.pop()
         rel = 1.0 if k == 0 else (grad_norm / self._g0 if self._g0 > 0.0 else 0.0)
         inner, solves = self._work()
         self.record.rows.append(RecordRow(
             iteration=k, fval=fval, grad_norm=grad_norm, rel_grad_norm=rel,
             step=step, inner_iters=inner - self._last_inner,
-            cum_linear_solves=solves,
+            cum_linear_solves=solves - self._solves0,
             elapsed_s=time.perf_counter() - self._start))
         self._last_inner = inner
         if self.record.iterates is not None:
@@ -238,28 +243,31 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
 
     The record counts the inner work of ``counters``, or of a reduced
     objective's map.  A reduced objective is told of each accepted iterate
-    before it is evaluated there and must be settled before the run
-    converges.  Raises :class:`MaxIterReached` (record attached) when the
-    budget runs out.
+    before it is evaluated there, and where the stop rule holds it may
+    :meth:`~ReducedObjective.settle` x: then x is evaluated again, rewrites
+    the last row and is tested again, with no outer step.  Raises
+    :class:`MaxIterReached` (record attached) when the budget runs out.
     """
     reduced = obj if isinstance(obj, ReducedObjective) else None
+    counters = counters if reduced is None else (reduced.counters,)
+    solves0 = sum(c.linear_solves for c in counters)
     val, g = obj.evaluate(x)
     g_norm = g0 = float(np.linalg.norm(g))
-    rec = _Recorder(counters if reduced is None else (reduced.counters,), keep_iterates,
-                    val, g_norm, x)
-    k = 0
-    while not (stop.met(g_norm, g0) and (reduced is None or reduced.settled(x))):
-        if k == stop.max_iter:
-            raise MaxIterReached(
-                f"{name}: no convergence within {stop.max_iter} iterations "
-                f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
-        k += 1
-        x, t = advance(x, g, val)
-        if reduced is not None:
-            reduced.accept(x)
+    rec = _Recorder(counters, keep_iterates, solves0, val, g_norm, x)
+    k, t = 0, 0.0
+    while not (met := stop.met(g_norm, g0)) or (reduced is not None and reduced.settle(x)):
+        if not met:  # otherwise x was re-solved where the rule held: re-evaluate it
+            if k == stop.max_iter:
+                raise MaxIterReached(
+                    f"{name}: no convergence within {stop.max_iter} iterations "
+                    f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
+            k += 1
+            x, t = advance(x, g, val)
+            if reduced is not None:
+                reduced.accept(x)
         val, g = obj.evaluate(x)
         g_norm = float(np.linalg.norm(g))
-        rec.add(k, val, g_norm, t, x)
+        rec.add(k, val, g_norm, t, x, revise=met)
     return x, rec.record
 
 
@@ -295,10 +303,10 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
 
     Each outer iteration evaluates the inexact map at the scheduled tolerance
     (trial points included), then updates the warm start and shrinks the
-    tolerance.  Converged once the relative reduced-gradient norm meets the
-    stop rule AND the inner residual of the evaluated point is below the
-    schedule floor, so the descent direction's inexactness is consistent with
-    the outer tolerance.
+    tolerance.  Where the relative reduced-gradient norm meets the stop rule
+    with the inner residual above the schedule floor, x is re-solved at the
+    floor and tested again, with no outer step (:meth:`ReducedObjective.settle`),
+    so a converged run's direction is as exact as the outer tolerance asks.
     """
     # inner residual floor two decades below the outer relative tolerance
     elim.reset(y0, floor=1e-2 * stop.rel_grad_tol)

@@ -249,9 +249,11 @@ class LogSumExpRestricted(Restricted):
 
     @staticmethod
     def blocks(objective: LogSumExpProblem, part: BlockPartition):
-        """The coefficients (a, b, d) of the x block and of the y block."""
+        """The coefficients (a, b, d) of the x block and of the y block, views if a range."""
         coeffs = (objective.a_coeffs, objective.b_coeffs, objective.d_diag)
-        return tuple(tuple(c[i] for c in coeffs) for i in (part.x_indices, part.y_indices))
+        keys = [slice(i[0], i[-1] + 1) if (np.diff(i) == 1).all() else i
+                for i in (part.x_indices, part.y_indices)]
+        return tuple(tuple(c[key] for c in coeffs) for key in keys)
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
         super().__init__(restriction, x)

@@ -255,10 +255,8 @@ class TestPGDInexact:
         (x1, y1, rows1), (x2, y2, rows2) = runs
         assert len(rows1) > 3 and any(r[5] > 0 for r in rows1[1:])
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
-        # cum_linear_solves counts from the map's creation, so the second run's
-        # column is the first run's shifted by its total
-        offset = rows1[-1][6]
-        assert rows2 == [r[:6] + (r[6] + offset,) for r in rows1]
+        # both work columns count from the run's start, not the map's creation
+        assert rows2 == rows1
 
     def test_accepted_iterate_is_not_frozen_again(self, monkeypatch):
         # one exp over the x block at x0 and one per Armijo trial; the re-solve
@@ -280,6 +278,62 @@ class TestPGDInexact:
                                 StopRule(rel_grad_tol=1e-6, max_iter=500))
         assert len(trials) == rec.iterations > 3 and sum(trials) > rec.iterations
         assert sizes.count(56) == 1 + sum(trials)
+
+    # (n, n_el) of configs/logsumexp.ini, and a size at which the run used to
+    # meet the stop rule on a loose inner solve and then spin to its budget
+    SETTLING = [(1000, 20), (100_000, 10_000)]
+
+    @staticmethod
+    def run_from_zero(n, n_el, stop=None):
+        p = LogSumExpProblem(n, n_el)
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        x, y, rec = pgd_inexact(p, p.partition, sched, np.zeros(n - n_el), np.zeros(n_el),
+                                stop or StopRule(rel_grad_tol=1e-6, max_iter=50))
+        return p, sched, x, y, rec
+
+    def test_no_outer_step_after_the_stop_rule_is_met(self, monkeypatch):
+        # the first iterate that meets the rule is re-solved at the floor,
+        # still meets it, and the run ends there
+        searches, searches_when_met = [], []
+        search = varred.optimizers.armijo_search
+        monkeypatch.setattr(varred.optimizers, "armijo_search",
+                            lambda *a, **kw: searches.append(1) or search(*a, **kw))
+
+        class Watched(StopRule):
+            def met(self, grad_norm, grad_norm0):
+                met = super().met(grad_norm, grad_norm0)
+                if met:
+                    searches_when_met.append(len(searches))
+                return met
+
+        *_, rec = self.run_from_zero(1000, 20, Watched(rel_grad_tol=1e-6, max_iter=20000))
+        assert searches_when_met[0] == len(searches) == rec.iterations
+        assert rec.final.rel_grad_norm <= 1e-6
+
+    @pytest.mark.parametrize("n, n_el", SETTLING)
+    def test_last_row_is_the_returned_point(self, n, n_el):
+        # the last row holds J~ and its gradient at the returned (x, y), with
+        # the inner residual there at the floor
+        p, sched, x, y, rec = self.run_from_zero(n, n_el)
+        val, g_x, g_y = p.restrict().at(x).evaluate(y)
+        assert rec.final.fval == val
+        assert rec.final.grad_norm == np.linalg.norm(g_x)
+        assert rec.final.rel_grad_norm == rec.final.grad_norm / rec.rows[0].grad_norm
+        assert np.linalg.norm(g_y) <= sched.floor
+
+    @pytest.mark.parametrize("n, n_el", SETTLING)
+    def test_rows_count_every_newton_step(self, n, n_el):
+        # row 0 counts none of the steps of the solve at x0; every later step,
+        # the re-solve at the floor included, is in some row
+        p, sched, *_, rec = self.run_from_zero(n, n_el)
+        at_x0 = NewtonElimination(p).solve(np.zeros(n - n_el), np.zeros(n_el), tol=sched.tol_init)
+        total = sum(r.inner_iters for r in rec.rows)
+        assert total + at_x0.inner_iterations == sched.counters.inner_iterations
+        assert rec.final.cum_linear_solves == sched.counters.linear_solves
+
+    def test_large_eliminated_block_converges_without_spinning(self):
+        *_, rec = self.run_from_zero(100_000, 10_000)
+        assert rec.iterations <= 3 and rec.final.rel_grad_norm <= 1e-6
 
 
 class TestAlternatingMinimization:

@@ -322,6 +322,17 @@ class TestYLinearization:
         for a, b in zip(_x_blocks(restricted, part, y), _dense_x_blocks(h, part)):
             assert np.all(np.isfinite(a)) and np.abs(a - b).max() <= 1e-13 * np.abs(h).max()
 
+    @pytest.mark.parametrize("kind", ["leading", "trailing", "scattered", "descending"])
+    def test_logsumexp_blocks_of_an_ascending_range_are_views(self, kind):
+        p = LogSumExpProblem(15, 6)
+        part = (BlockPartition(15, np.arange(14, 5, -1), np.arange(6)) if kind == "descending"
+                else _partitions(15, 9)[kind])
+        for indices, block in zip((part.x_indices, part.y_indices), p.restrict(part).blocks):
+            ascending_range = bool(np.all(np.diff(indices) == 1))
+            for c, b in zip((p.a_coeffs, p.b_coeffs, p.d_diag), block):
+                assert np.array_equal(b, c[indices])
+                assert np.shares_memory(b, c) == ascending_range
+
     def test_logsumexp_one_softmax_pass(self, monkeypatch):
         # at(x): one exp over the x block; linearize, evaluate and
         # x_products: one over the y block each; products: none
