@@ -7,12 +7,12 @@ Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y,
 the inner iterations spent on it and J(x, .) with x frozen once per solve in
 the map's :meth:`Objective.restrict`; iterative maps reach the block only
 through it and return a warm start that already meets the active tolerance
-unchanged, with zero inner iterations.  The reduced objective keeps that J(x, .)
-with its last point: it reads J, grad_x J and the inner residual
-||grad_y J(x, y)|| off its ``evaluate(y)``, and the reduced Hessian off its
-``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J evaluates
-through S, never the full A.  At an accepted outer iterate a scheduled map
-re-solves on that same J(x, .), so each point is frozen once.  Maps carry
+unchanged, with zero inner iterations.  The reduced objective keeps the solve
+at its last point: it reads J, grad_x J and the inner residual
+||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and the reduced Hessian
+off its ``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J
+evaluates through S, never the full A.  A scheduled map's ``accept`` re-solves
+at an accepted outer iterate on that same J(x, .), so each point is frozen once.  Maps carry
 warm-start state and work counters, so a map instance is confined to a single
 optimizer run; distinct instances over the same (immutable) problem may run
 concurrently.
@@ -181,12 +181,11 @@ class NewtonElimination:
 class ScheduledInexactElimination:
     """Inexact elimination with a geometric tolerance schedule and warm starts.
 
-    The tolerance starts at ``tol_init`` and is multiplied by ``rho`` after
-    each accepted outer step, floored so inner work stays bounded; the warm
-    start becomes the y returned at each accepted outer iterate, and
-    :meth:`resolve` solves again on the J(x, .) frozen there.  The floor is
-    the inner map's ``inner_tol`` until :meth:`reset` starts a run from a warm
-    start with the floor its outer method derives from its own tolerance.
+    The tolerance starts at ``tol_init``; :meth:`accept`, told of each
+    accepted outer iterate, is the only code that moves the warm start and
+    the tolerance on from there.  The floor is the inner map's
+    ``inner_tol`` until :meth:`reset` starts a run from a warm start with
+    the floor its outer method derives from its own tolerance.
     """
 
     def __init__(self, inner: NewtonElimination, tol_init: float = 1e-3,
@@ -213,14 +212,18 @@ class ScheduledInexactElimination:
     def solve(self, x: np.ndarray) -> EliminationResult:
         return self.inner.solve(x, y0=self._warm, tol=self.tol_current)
 
-    def resolve(self, restricted: Restricted) -> EliminationResult:
-        """What :meth:`solve` returns at x, on J(x, .) already frozen."""
-        return self.inner.solve_frozen(restricted, self._warm.copy(), self.tol_current)
-
-    def accept(self, y: np.ndarray):
-        """Register an accepted outer step: update warm start, shrink tolerance."""
-        self._warm = as_vector(y).copy()
-        self.tol_current = max(self.rho * self.tol_current, self.floor)
+    def accept(self, result: EliminationResult,
+               residual: float | None = None) -> EliminationResult | None:
+        """Take ``result``, the solve at an accepted outer iterate, as warm start
+        and re-solve on its J(x, .) at ``rho`` times the last tolerance, floored;
+        given the inner ``residual`` where the outer stop rule holds, at the
+        floor, or not at all (None, nothing changed) if it is already there."""
+        if residual is not None and residual <= self.floor:
+            return None
+        self.tol_current = self.floor if residual is not None else max(
+            self.rho * self.tol_current, self.floor)
+        self._warm = result.y.copy()
+        return self.inner.solve_frozen(result.restricted, result.y, self.tol_current)
 
 
 def exact_map(objective: Objective, partition: BlockPartition,
@@ -241,10 +244,9 @@ class ReducedObjective:
     vanishes because grad_y J(x, h(x)) = 0); for inexact maps it is the
     tolerance-controlled descent direction.  The last evaluated point is
     cached with the map's J(x, .), so a value/gradient pair at the same x costs
-    one inner solve and curvature at x is read off the same restriction.  With
-    a :class:`ScheduledInexactElimination`, :meth:`accept` advances the
-    schedule after each accepted outer step and :meth:`settle` re-solves at
-    the schedule floor once the outer stop test holds.
+    one inner solve and curvature at x is read off the same restriction.
+    :meth:`accept` hands each accepted outer iterate to a
+    :class:`ScheduledInexactElimination` with the solve cached there.
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
@@ -257,7 +259,7 @@ class ReducedObjective:
             raise DimensionMismatch("the partition differs from the elimination map's")
         self.elim, self.partition = elim, elim.partition
         self.n = self.partition.n_x
-        # (x, y, value, grad_x, ||grad_y J||, J(x, .)), all from one solve at x
+        # (x, the map's solve at x, J~(x), grad J~(x), ||grad_y J(x, y)||)
         self._cache: tuple | None = None
 
     @property
@@ -274,9 +276,8 @@ class ReducedObjective:
 
     @staticmethod
     def _evaluated(result: EliminationResult) -> tuple:
-        r = result.restricted
-        val, g_x, g_y = r.evaluate(result.y)
-        return r.x.copy(), result.y, val, g_x, float(np.linalg.norm(g_y)), r
+        val, g_x, g_y = result.restricted.evaluate(result.y)
+        return result.restricted.x.copy(), result, val, g_x, float(np.linalg.norm(g_y))
 
     def value(self, x: np.ndarray) -> float:
         return self._ensure(x)[2]
@@ -285,35 +286,23 @@ class ReducedObjective:
         return self._ensure(x)[3]
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        c = self._ensure(x)
-        return c[2], c[3]
+        return self._ensure(x)[2:4]
 
     def eliminated_point(self, x: np.ndarray) -> np.ndarray:
-        return self._ensure(x)[1]
+        return self._ensure(x)[1].y
 
-    def accept(self, x: np.ndarray):
-        """Register x as the next outer iterate.
-
-        A scheduled map takes h(x) as its warm start and tightens its
-        tolerance, then re-solves on the J(x, .) cached at x.  J~ is
-        evaluated anew only if that took Newton steps, and nothing at x is
-        kept if it raised.  Other maps are left alone.
-        """
-        if isinstance(self.elim, ScheduledInexactElimination):
-            entry = self._ensure(x)
-            self._cache = None
-            self.elim.accept(entry[1])
-            result = self.elim.resolve(entry[5])
-            self._cache = entry if result.inner_iterations == 0 else self._evaluated(result)
-
-    def settle(self, x: np.ndarray) -> bool:
-        """Re-solve at x as :meth:`accept` does, but at the schedule floor, if the
-        inner residual there is above it; whether it did (never without a schedule)."""
-        if not isinstance(self.elim, ScheduledInexactElimination) or self._ensure(x)[4] <= self.elim.floor:
+    def accept(self, x: np.ndarray, final: bool = False) -> bool:
+        """Hand the solve cached at the accepted outer iterate x, with its inner
+        residual if ``final`` (the outer stop rule holds at x), to a scheduled
+        map's :meth:`~ScheduledInexactElimination.accept`; whether its re-solve
+        took Newton steps, and so changed J~ at x.  Nothing at x is kept if it raised."""
+        if not isinstance(self.elim, ScheduledInexactElimination):
             return False
-        self.elim.tol_current = self.elim.floor
-        self.accept(x)
-        return True
+        entry, self._cache = self._ensure(x), None
+        result = self.elim.accept(entry[1], entry[4] if final else None)
+        changed = result is not None and result.inner_iterations > 0
+        self._cache = self._evaluated(result) if changed else entry
+        return changed
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         return self.elim.schur_hvp(v)
@@ -328,9 +317,9 @@ class ReducedObjective:
         product; every block comes from the cached J(x, .)."""
         if isinstance(self.elim, QuadraticExactElimination):
             return LinOp(dim=self.n, apply=self.elim.schur_hvp)
-        _, y, *_, restricted = self._ensure(x)
-        h_yy = restricted.linearize(y)[1]
-        along_x, xy = restricted.x_products(y)
+        result = self._ensure(x)[1]
+        h_yy = result.restricted.linearize(result.y)[1]
+        along_x, xy = result.restricted.x_products(result.y)
 
         def apply(v: np.ndarray) -> np.ndarray:
             h_xx_v, h_yx_v = along_x(v)
@@ -349,6 +338,6 @@ class ReducedObjective:
         nd2 = float(d @ d)
         if nd2 == 0.0:
             raise ValueError("direction must be nonzero")
-        _, y, *_, restricted = self._ensure(x)
-        along_x, _ = restricted.x_products(y)
+        result = self._ensure(x)[1]
+        along_x, _ = result.restricted.x_products(result.y)
         return float(d @ along_x(d)[0]) / nd2

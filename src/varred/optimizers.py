@@ -70,6 +70,8 @@ class StopRule:
     def __post_init__(self):
         if self.rel_grad_tol <= 0.0:
             raise ValueError("rel_grad_tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
     def met(self, grad_norm: float, grad_norm0: float) -> bool:
         if not math.isfinite(grad_norm):
@@ -242,20 +244,20 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
     or a :class:`ReducedObjective`, with one ``evaluate`` per iterate.
 
     The record counts the inner work of ``counters``, or of a reduced
-    objective's map.  A reduced objective is told of each accepted iterate
-    before it is evaluated there, and where the stop rule holds it may
-    :meth:`~ReducedObjective.settle` x: then x is evaluated again, rewrites
-    the last row and is tested again, with no outer step.  Raises
-    :class:`MaxIterReached` (record attached) when the budget runs out.
+    objective's map.  A reduced objective ``accept``s each iterate before it
+    is evaluated there, and again as final where the stop rule holds: if J~
+    changed, x is evaluated again, rewrites the last row and is tested again,
+    with no outer step.  Raises :class:`MaxIterReached` (record attached)
+    when the budget runs out.
     """
-    reduced = obj if isinstance(obj, ReducedObjective) else None
-    counters = counters if reduced is None else (reduced.counters,)
+    reduced = isinstance(obj, ReducedObjective)
+    counters = (obj.counters,) if reduced else counters
     solves0 = sum(c.linear_solves for c in counters)
     val, g = obj.evaluate(x)
     g_norm = g0 = float(np.linalg.norm(g))
     rec = _Recorder(counters, keep_iterates, solves0, val, g_norm, x)
     k, t = 0, 0.0
-    while not (met := stop.met(g_norm, g0)) or (reduced is not None and reduced.settle(x)):
+    while not (met := stop.met(g_norm, g0)) or (reduced and obj.accept(x, final=True)):
         if not met:  # otherwise x was re-solved where the rule held: re-evaluate it
             if k == stop.max_iter:
                 raise MaxIterReached(
@@ -263,8 +265,8 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
                     f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
             k += 1
             x, t = advance(x, g, val)
-            if reduced is not None:
-                reduced.accept(x)
+            if reduced:
+                obj.accept(x)
         val, g = obj.evaluate(x)
         g_norm = float(np.linalg.norm(g))
         rec.add(k, val, g_norm, t, x, revise=met)
@@ -302,10 +304,10 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     Armijo on J~ once ``reset`` starts the schedule from the warm start ``y0``.
 
     Each outer iteration evaluates the inexact map at the scheduled tolerance
-    (trial points included), then updates the warm start and shrinks the
-    tolerance.  Where the relative reduced-gradient norm meets the stop rule
-    with the inner residual above the schedule floor, x is re-solved at the
-    floor and tested again, with no outer step (:meth:`ReducedObjective.settle`),
+    (trial points included); the schedule's ``accept`` then takes the accepted
+    iterate's solve as warm start, shrinks the tolerance and re-solves there.
+    Where the stop rule holds with the inner residual above the schedule
+    floor, it re-solves at the floor and x is tested again with no outer step,
     so a converged run's direction is as exact as the outer tolerance asks.
     """
     # inner residual floor two decades below the outer relative tolerance

@@ -10,10 +10,12 @@ import varred.elimination
 import varred.linalg
 import varred.problems
 from varred.elimination import (
+    EliminationResult,
     NewtonElimination,
     QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
+    exact_map,
 )
 from varred.errors import DimensionMismatch, NonConvergence
 from varred.linalg import cg_solve, LinOp, sym_matrix
@@ -280,16 +282,18 @@ class TestScheduledInexactElimination:
         sched = ScheduledInexactElimination(NewtonElimination(p), tol_init=1e-3, rho=0.5)
         sched.reset(np.zeros(3), floor=1e-5)
         assert sched.tol_current == 1e-3
+        result = sched.solve(np.zeros(17))
         for expected in (5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 3.125e-5, 1.5625e-5, 1e-5, 1e-5):
-            sched.accept(np.zeros(3))
+            result = sched.accept(result)
             assert sched.tol_current == pytest.approx(expected)
+            assert np.linalg.norm(result.restricted.linearize(result.y)[0]) <= expected
 
     def test_warm_start_updates_on_accept(self):
         p = LogSumExpProblem(20, 3)
         sched = ScheduledInexactElimination(NewtonElimination(p))
         y = np.array([1.0, -2.0, 0.5])
-        sched.accept(y)
-        assert np.array_equal(sched._warm, y)
+        sched.accept(EliminationResult(y, 0, p.restrict().at(np.zeros(17))))
+        assert np.array_equal(sched._warm, y) and sched._warm is not y
 
     def test_floor_without_reset_is_inner_tol(self):
         # a schedule driven by plain gradient descent, never reset, floors its
@@ -512,17 +516,70 @@ class TestAcceptReSolve:
         reduced = ReducedObjective(p, p.partition, sched)
         reduced.evaluate(x)
 
-        def stalled(restricted):
+        def stalled(restricted, y, tol):
             raise NonConvergence("inner Newton stalled", residual=1.0, iterations=50)
 
-        sched.resolve = stalled
+        sched.inner.solve_frozen = stalled
         with pytest.raises(NonConvergence):
             reduced.accept(x)
-        del sched.resolve
+        del sched.inner.solve_frozen
         solved = []
         sched.solve = lambda x: solved.append(1) or ScheduledInexactElimination.solve(sched, x)
         reduced.evaluate(x)
         assert solved == [1]
+
+    def test_final_accept_at_the_floor_changes_nothing(self, monkeypatch):
+        p = LogSumExpProblem(40, 5)
+        x = np.linspace(-1.0, 1.0, 35)
+        y_star = NewtonElimination(p, inner_tol=1e-13).solve(x).y
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        sched.reset(y_star, floor=1e-10)
+        reduced = ReducedObjective(p, p.partition, sched)
+        val, g = reduced.evaluate(x)
+        evaluations = self.counted_evaluations(monkeypatch)
+        sched.inner.solve_frozen = lambda *a: pytest.fail("re-solved at the floor")
+        assert reduced.accept(x, final=True) is False
+        assert sched.tol_current == 1e-3 and sched.counters.snapshot() == (0, 0)
+        val_after, g_after = reduced.evaluate(x)
+        assert val_after == val and np.array_equal(g_after, g) and not evaluations
+
+    def test_final_accept_above_the_floor_re_solves_there(self, monkeypatch):
+        # the re-solve at the floor reuses the J(x, .) cached at x: no exp
+        # over the x block
+        p = LogSumExpProblem(40, 5)
+        x = np.linspace(-1.0, 1.0, 35)
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        sched.reset(np.zeros(5), floor=1e-10)
+        reduced = ReducedObjective(p, p.partition, sched)
+        reduced.evaluate(x)
+        steps = sched.counters.inner_iterations
+        sizes = []
+        exp = np.exp
+        monkeypatch.setattr(varred.problems.np, "exp",
+                            lambda a, **kw: sizes.append(a.size) or exp(a, **kw))
+        assert reduced.accept(x, final=True) is True
+        assert 35 not in sizes and sched.counters.inner_iterations > steps
+        assert sched.tol_current == sched.floor == 1e-10
+        monkeypatch.undo()
+        val, g_x, g_y = p.restrict().at(x).evaluate(reduced.eliminated_point(x))
+        assert np.linalg.norm(g_y) <= 1e-10
+        val_after, g_after = reduced.evaluate(x)
+        assert val_after == val and np.array_equal(g_after, g_x)
+        assert reduced.accept(x, final=True) is False
+
+    @pytest.mark.parametrize("p", [build_test_matrix(3, 4, (1, 3), (1, 7), 1e-1, seed=2),
+                                   LogSumExpProblem(40, 5)], ids=["quadratic", "newton"])
+    def test_accept_over_an_exact_map_solves_nothing(self, p):
+        elim = exact_map(p, p.partition)
+        reduced = ReducedObjective(p, p.partition, elim)
+        x = np.linspace(-1.0, 1.0, p.partition.n_x)
+        val, g = reduced.evaluate(x)
+        work = elim.counters.snapshot()
+        elim.solve = lambda *a, **kw: pytest.fail("accept solved over an exact map")
+        assert reduced.accept(x) is False and reduced.accept(x, final=True) is False
+        assert elim.counters.snapshot() == work
+        val_after, g_after = reduced.evaluate(x)
+        assert val_after == val and np.array_equal(g_after, g)
 
 
 class TestSchurConditioning:

@@ -109,6 +109,17 @@ class TestGradientDescent:
                              step_mode="optimal_quadratic")
         assert exc.value.record is not None and exc.value.record.iterations == 3
 
+    def test_max_iter_is_a_budget_from_zero_up(self):
+        # a budget of m outer steps ends a run that cannot converge after m of
+        # them; a negative one is refused rather than taken as no budget
+        p = build_test_matrix(4, 6, (1, 5), (1, 80), 1e-1, seed=11)
+        for m in (0, 5):
+            with pytest.raises(MaxIterReached) as exc:
+                gradient_descent(p, np.zeros(10), StopRule(rel_grad_tol=1e-300, max_iter=m))
+            assert exc.value.record.iterations == m
+        with pytest.raises(ValueError, match="max_iter"):
+            StopRule(rel_grad_tol=1e-300, max_iter=-1)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 1000))
     def test_monotone_objective_values(self, seed):
