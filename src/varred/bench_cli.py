@@ -233,11 +233,8 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def _resolve_step_mode(cfg: ExperimentConfig, problem) -> str:
-    if cfg.step_mode == "optimal":
-        return "optimal_quadratic"
-    if cfg.step_mode == "armijo":
-        return "armijo"
-    return "optimal_quadratic" if isinstance(problem, QuadraticProblem) else "armijo"
+    auto_optimal = cfg.step_mode == "auto" and isinstance(problem, QuadraticProblem)
+    return "optimal_quadratic" if cfg.step_mode == "optimal" or auto_optimal else "armijo"
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSummary, ConvergenceRecord | None]:

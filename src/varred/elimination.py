@@ -11,8 +11,11 @@ unchanged, with zero inner iterations.  The reduced objective keeps the solve
 at its last point: it reads J, grad_x J and the inner residual
 ||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and the reduced Hessian
 off its ``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J
-evaluates through S, never the full A.  A scheduled map's ``accept`` re-solves
-at an accepted outer iterate on that same J(x, .), so each point is frozen once.  Maps carry
+evaluates through S, never the full A.  It copies x once per evaluation, and
+that copy is both its cache key and the x the map freezes; a value alone, as
+at a line-search trial, forms no grad_x J until the gradient is asked for.  A
+scheduled map's ``accept`` re-solves at an accepted outer iterate on that same
+J(x, .), so each point is frozen once.  Maps carry
 warm-start state and work counters, so a map instance is confined to a single
 optimizer run; distinct instances over the same (immutable) problem may run
 concurrently.
@@ -59,7 +62,7 @@ class CondensedRestricted(QuadraticRestricted):
         super().__init__(elim.restriction, x)
         self.elim = elim
 
-    def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
         e, x = self.elim, self.x
         g = e.s @ x - e.b_tilde
         return 0.5 * float(x @ (g - e.b_tilde)) + e.c_tilde, g, np.zeros(y.size)
@@ -191,7 +194,7 @@ class ScheduledInexactElimination:
     def __init__(self, inner: NewtonElimination, tol_init: float = 1e-3,
                  rho: float = 0.5):
         self.check_rho(rho)
-        self.inner, self.partition = inner, inner.partition
+        self.inner, self.partition, self.counters = inner, inner.partition, inner.counters
         self.tol_init, self.rho = tol_init, rho
         self.reset(np.zeros(self.partition.n_y), inner.inner_tol)
 
@@ -199,10 +202,6 @@ class ScheduledInexactElimination:
     def check_rho(rho: float):
         if not 0.0 < rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-
-    @property
-    def counters(self) -> WorkCounters:
-        return self.inner.counters
 
     def reset(self, y0: np.ndarray, floor: float):
         self._warm = as_vector(y0).copy()
@@ -257,36 +256,35 @@ class ReducedObjective:
                 np.array_equal(partition.x_indices, elim.partition.x_indices)
                 and np.array_equal(partition.y_indices, elim.partition.y_indices)):
             raise DimensionMismatch("the partition differs from the elimination map's")
-        self.elim, self.partition = elim, elim.partition
+        self.elim, self.partition, self.counters = elim, elim.partition, elim.counters
         self.n = self.partition.n_x
-        # (x, the map's solve at x, J~(x), grad J~(x), ||grad_y J(x, y)||)
-        self._cache: tuple | None = None
+        # [x, the map's solve at x, J~(x), grad J~(x) or None until asked for,
+        #  ||grad_y J(x, y)||]; x is the private copy that the map froze
+        self._cache: list | None = None
 
-    @property
-    def counters(self) -> WorkCounters:
-        return self.elim.counters
-
-    def _ensure(self, x: np.ndarray) -> tuple:
+    def _ensure(self, x: np.ndarray, gradient: bool = False) -> list:
         # a cache hit needs no validation: the map's solve checked the cached x
-        if self._cache is not None and np.array_equal(self._cache[0], x):
-            return self._cache
-        self._cache = None  # free the old restriction before the solve makes one
-        self._cache = self._evaluated(self.elim.solve(x))
-        return self._cache
+        entry = self._cache
+        if entry is None or not np.array_equal(entry[0], x):
+            entry = self._cache = None  # free the old restriction before the solve makes one
+            entry = self._cache = self._evaluated(self.elim.solve(np.array(x, dtype=float)), gradient)
+        elif gradient and entry[3] is None:
+            entry[3] = entry[1].restricted.evaluate(entry[1].y)[1]
+        return entry
 
     @staticmethod
-    def _evaluated(result: EliminationResult) -> tuple:
-        val, g_x, g_y = result.restricted.evaluate(result.y)
-        return result.restricted.x.copy(), result, val, g_x, float(np.linalg.norm(g_y))
+    def _evaluated(result: EliminationResult, gradient: bool) -> list:
+        val, g_x, g_y = result.restricted.evaluate(result.y, gradient)
+        return [result.restricted.x, result, val, g_x, float(np.linalg.norm(g_y))]
 
     def value(self, x: np.ndarray) -> float:
         return self._ensure(x)[2]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._ensure(x)[3]
+        return self._ensure(x, gradient=True)[3]
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self._ensure(x)[2:4]
+        return tuple(self._ensure(x, gradient=True)[2:4])
 
     def eliminated_point(self, x: np.ndarray) -> np.ndarray:
         return self._ensure(x)[1].y
@@ -301,7 +299,7 @@ class ReducedObjective:
         entry, self._cache = self._ensure(x), None
         result = self.elim.accept(entry[1], entry[4] if final else None)
         changed = result is not None and result.inner_iterations > 0
-        self._cache = self._evaluated(result) if changed else entry
+        self._cache = self._evaluated(result, False) if changed else entry
         return changed
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
@@ -339,5 +337,4 @@ class ReducedObjective:
         if nd2 == 0.0:
             raise ValueError("direction must be nonzero")
         result = self._ensure(x)[1]
-        along_x, _ = result.restricted.x_products(result.y)
-        return float(d @ along_x(d)[0]) / nd2
+        return float(d @ result.restricted.x_products(result.y)[0](d)[0]) / nd2

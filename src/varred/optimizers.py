@@ -17,12 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateCurvature, LineSearchFailure, MaxIterReached, NonFinite, NotDescentDirection
-from .elimination import (
-    ReducedObjective,
-    ScheduledInexactElimination,
-    WorkCounters,
-    exact_map,
-)
+from .elimination import ReducedObjective, ScheduledInexactElimination, WorkCounters, exact_map
 from .linalg import as_vector
 from .problems import BlockPartition, Objective
 
@@ -160,10 +155,12 @@ def optimal_step_quadratic(g: np.ndarray, hvp) -> float:
 
 def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
                   p: ArmijoParams, t0: float | None = None,
-                  f_x: float | None = None) -> tuple[float, float, int]:
+                  f_x: float | None = None, out: np.ndarray | None = None) -> tuple[float, float, int]:
     """First step in {t0, t0*shrink, ...} with sufficient decrease along d.
 
-    Returns ``(t, f(x + t d), trials)``.  Raises :class:`LineSearchFailure`
+    Returns ``(t, f(x + t d), trials)``.  Each trial point is formed as t d,
+    then += x, in ``out`` if given, which then holds the accepted one.  Raises
+    :class:`LineSearchFailure`
     once ``max_trials`` trials are exhausted, and :class:`NotDescentDirection`
     unless d is a descent direction (g'd < 0).
     """
@@ -175,7 +172,9 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
     t = p.t0 if t0 is None else t0
     last_val = None
     for trial in range(1, p.max_trials + 1):
-        f_new = f(x + t * d)
+        point = np.multiply(d, t, out=out)
+        point += x
+        f_new = f(point)
         if f_new <= f_x + p.c1 * t * gtd:
             return t, f_new, trial
         last_val = f_new
@@ -188,9 +187,10 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
 # The outer loop takes an advance rule, (x, g, J(x)) -> (x_next, t), and
 # evaluates J and grad J at x_next itself.  Line-search methods build theirs
 # with :func:`_line_step` from a direction rule, (x, g) -> d, and a step rule,
-# (x, d, g, J(x)) -> t.  Rules look ``armijo_search``, ``optimal_step_quadratic``
-# and ``linalg.cg_solve`` up at call time, once per outer iteration, so
-# instrumentation that replaces those names sees every call.
+# (x, d, g, J(x)) -> (x + t d, t), which may write into d.  Rules look
+# ``armijo_search``, ``optimal_step_quadratic`` and ``linalg.cg_solve`` up at
+# call time, once per outer iteration, so instrumentation that replaces those
+# names sees every call.
 
 def _steepest(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -g
@@ -206,36 +206,36 @@ def _newton_direction(reduced: ReducedObjective):
 def _optimal_step(obj):
     """Closed-form quadratic step along -g through the objective's Hessian product."""
     def step(x, d, g, val):
-        return optimal_step_quadratic(g, lambda v: obj.hessian_vec(x, v))
+        t = optimal_step_quadratic(g, lambda v: obj.hessian_vec(x, v))
+        d *= t
+        d += x
+        return d, t
     return step
 
 
 def _armijo_step(obj, p: ArmijoParams, t_first: float | None = None):
-    """Backtracking on ``obj.value``.  Every search starts from ``t_first`` if
-    given; otherwise the first starts from t0 / (curvature along d) (see
-    :class:`ArmijoParams`) and later ones from the previously accepted step."""
+    """Backtracking on ``obj.value``; the accepted trial point is the next
+    iterate.  Every search starts from ``t_first`` if given; otherwise the first
+    starts from t0 / (curvature along d) (see :class:`ArmijoParams`) and later
+    ones from the previously accepted step."""
     t_next = t_first
 
     def step(x, d, g, val):
         nonlocal t_next
-        t0 = t_next
+        t0, x_next = t_next, np.empty_like(x)
         if t0 is None:
             lam = obj.curvature_along(x, d)
             t0 = p.t0 / lam if lam > 0.0 else p.t0
-        t = armijo_search(obj.value, x, d, g, p, t0=t0, f_x=val)[0]
+        t = armijo_search(obj.value, x, d, g, p, t0=t0, f_x=val, out=x_next)[0]
         if t_first is None:
             t_next = t
-        return t
+        return x_next, t
     return step
 
 
 def _line_step(direction, step):
     """Advance rule x + t d from a direction rule and a step rule."""
-    def advance(x, g, val):
-        d = direction(x, g)
-        t = step(x, d, g, val)
-        return x + t * d, t
-    return advance
+    return lambda x, g, val: step(x, direction(x, g), g, val)
 
 
 def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
@@ -291,7 +291,7 @@ def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
         step = _armijo_step(obj, armijo or ArmijoParams())
     else:
         raise ValueError(f"unknown step_mode {step_mode!r}")
-    return _descend(obj, as_vector(x0).copy(), stop, _line_step(_steepest, step),
+    return _descend(obj, as_vector(x0), stop, _line_step(_steepest, step),
                     keep_iterates, "gradient descent")
 
 

@@ -9,7 +9,9 @@ with a Hessian-vector product supports elimination.  It is the one place that
 forms J's Hessian blocks at (x, y): the y block for the inner Newton solve and
 the x-block products for the reduced Hessian.  Both problems here make the
 work of an inner Newton iterate depend on n_y alone, and log-sum-exp makes an
-x-block product O(n) with no ``exp``.
+x-block product O(n) with no ``exp``.  Its restriction writes every x-block
+vector it returns in place, so a product or an evaluation makes that one
+array, and ``evaluate(y, grad_x=False)`` makes none.
 """
 
 from __future__ import annotations
@@ -26,23 +28,25 @@ from .linalg import LinOp, as_vector, orthogonal_from_rng, spd_check, sym_matrix
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Split of {0, ..., n-1} into retained (x) and eliminated (y) index sets."""
+    """Split of {0, ..., n-1} into retained (x) and eliminated (y) index sets,
+    validated in O(n).  ``x_key`` and ``y_key`` index each block: a slice if it
+    is an ascending range, so that ``split`` gives views, else its indices."""
 
     n: int
     x_indices: np.ndarray
     y_indices: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x_indices, dtype=np.intp)
-        y = np.asarray(self.y_indices, dtype=np.intp)
-        object.__setattr__(self, "x_indices", x)
-        object.__setattr__(self, "y_indices", y)
-        if x.size < 1 or y.size < 1:
-            raise DimensionMismatch("both blocks must be non-empty")
-        combined = np.concatenate([x, y])
-        if x.size + y.size != self.n or not np.array_equal(
-            np.sort(combined), np.arange(self.n)
-        ):
+        covered = np.zeros(self.n, dtype=bool)
+        for name in ("x", "y"):
+            i = np.asarray(getattr(self, f"{name}_indices"), dtype=np.intp)
+            if i.size < 1 or i.min() < 0 or i.max() >= self.n:
+                raise DimensionMismatch("each block must be a non-empty set of indices in 0..n-1")
+            covered[i] = True
+            ascending = i[-1] - i[0] == i.size - 1 and bool((np.diff(i) == 1).all())
+            object.__setattr__(self, f"{name}_indices", i)
+            object.__setattr__(self, f"{name}_key", slice(i[0], i[-1] + 1) if ascending else i)
+        if self.n_x + self.n_y != self.n or not covered.all():
             raise DimensionMismatch("index sets must disjointly cover 0..n-1")
 
     @property
@@ -83,29 +87,30 @@ class BlockPartition:
         )
 
     def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return z[self.x_indices], z[self.y_indices]
+        return z[self.x_key], z[self.y_key]
 
     def embed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         z = np.empty(self.n)
-        z[self.x_indices] = x
-        z[self.y_indices] = y
+        z[self.x_key] = x
+        z[self.y_key] = y
         return z
 
     def lift_x(self, v: np.ndarray) -> np.ndarray:
         z = np.zeros(self.n)
-        z[self.x_indices] = v
+        z[self.x_key] = v
         return z
 
     def lift_y(self, w: np.ndarray) -> np.ndarray:
         z = np.zeros(self.n)
-        z[self.y_indices] = w
+        z[self.y_key] = w
         return z
 
 
 class Restricted:
     """J(x, .) for one frozen x, at z = (x, y): ``linearize(y)`` is (grad_y J,
     grad_yy J as an operator), ``x_products(y)`` the x-block products of the
-    Hessian and ``evaluate(y)`` is (J, grad_x J, grad_y J).  Here each embeds z
+    Hessian and ``evaluate(y)`` is (J, grad_x J, grad_y J), where a subclass
+    may skip grad_x J (None) if ``grad_x`` is false.  Here each embeds z
     once and calls the full ``evaluate`` or ``hessian_vec``; the products do no
     work before their first call."""
 
@@ -128,7 +133,7 @@ class Restricted:
             return hv[xi], hv[yi]
         return along_x, lambda w: obj.hessian_vec(z, part.lift_y(w))[xi]
 
-    def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
         part = self.restriction.part
         val, g = self.restriction.objective.evaluate(part.embed(self.x, y))
         return val, g[part.x_indices], g[part.y_indices]
@@ -251,9 +256,7 @@ class LogSumExpRestricted(Restricted):
     def blocks(objective: LogSumExpProblem, part: BlockPartition):
         """The coefficients (a, b, d) of the x block and of the y block, views if a range."""
         coeffs = (objective.a_coeffs, objective.b_coeffs, objective.d_diag)
-        keys = [slice(i[0], i[-1] + 1) if (np.diff(i) == 1).all() else i
-                for i in (part.x_indices, part.y_indices)]
-        return tuple(tuple(c[key] for c in coeffs) for key in keys)
+        return tuple(tuple(c[key] for c in coeffs) for key in (part.x_key, part.y_key))
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
         super().__init__(restriction, x)
@@ -283,24 +286,35 @@ class LogSumExpRestricted(Restricted):
         bg, d = self.b_y * g, self.d_y
         return g + d * y, LinOp(dim=y.size, apply=lambda v: bg * v - g * float(g @ v) + d * v)
 
-    def evaluate(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray | None, np.ndarray]:
         lse, g, scale = self._softmax(y)
         dy = self.d_y * y
         val = lse + 0.5 * (self.xdx + float(y @ dy))
-        return val, self.be_x * scale + self.dx, g + dy
+        dy += g
+        if not grad_x:
+            return val, None, dy
+        g_x = np.multiply(self.be_x, scale)
+        g_x += self.dx
+        return val, g_x, dy
 
     def x_products(self, y: np.ndarray):
         """With g_x = be_x scale the blocks of diag(b g) - g g' + D give
         v -> ((b_x g_x) v - g_x (g_x v) + d_x v, -g (g_x v)) and
-        w -> -g_x (g w), in O(n) per product."""
+        w -> -g_x (g w), in O(n) per product.  Each makes only the x-block array it
+        returns, the first as (g_x (b_x v - g_x'v) / d_x + v) d_x in place (d_x > 0)."""
         _, g, scale = self._softmax(y)
-        g_x = self.be_x * scale
-        bg_x, d_x = self.b_x * g_x, self.d_x
 
         def along_x(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            gv = float(g_x @ v)
-            return bg_x * v - g_x * gv + d_x * v, -(g * gv)
-        return along_x, lambda w: -(g_x * float(g @ w))
+            gv = scale * float(self.be_x @ v)
+            hv = np.multiply(self.b_x, v)
+            hv -= gv
+            hv *= self.be_x
+            hv *= scale
+            hv /= self.d_x
+            hv += v
+            hv *= self.d_x
+            return hv, -(g * gv)
+        return along_x, lambda w: np.multiply(self.be_x, -scale * float(g @ w))
 
 
 class LogSumExpProblem(Objective):

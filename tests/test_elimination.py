@@ -317,6 +317,26 @@ class TestScheduledInexactElimination:
 
 
 class TestReducedObjective:
+    @pytest.mark.parametrize("kind", ["quadratic", "newton", "scheduled"])
+    def test_evaluation_after_x_changes_in_place_is_fresh(self, kind):
+        # the cache keys on its own copy of x, not on the caller's array
+        p = build_test_matrix(4, 6, (1, 5), (1, 12), 2e-1, seed=1) if kind == "quadratic" \
+            else LogSumExpProblem(40, 5)
+        elim = (ScheduledInexactElimination(NewtonElimination(p)) if kind == "scheduled"
+                else exact_map(p, p.partition))
+        reduced = ReducedObjective(p, p.partition, elim)
+        x = np.linspace(-1.0, 1.0, p.partition.n_x)
+        val, g = reduced.evaluate(x)
+        g = g.copy()
+        x *= 0.5
+        val_new, g_new = reduced.evaluate(x)
+        restricted = p.restrict().at(x.copy())
+        val_at_x, g_at_x, _ = restricted.evaluate(reduced.eliminated_point(x))
+        assert val_new != val and not np.array_equal(g_new, g)
+        assert val_new == pytest.approx(val_at_x, rel=1e-12)
+        np.testing.assert_allclose(g_new, g_at_x, rtol=1e-12, atol=1e-15)
+        assert reduced.value(x) == val_new
+
     def test_value_matches_dense_schur_oracle(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -466,7 +486,7 @@ class TestAcceptReSolve:
         calls = []
         evaluate = LogSumExpRestricted.evaluate
         monkeypatch.setattr(LogSumExpRestricted, "evaluate",
-                            lambda r, y: calls.append(1) or evaluate(r, y))
+                            lambda r, y, *a: calls.append(1) or evaluate(r, y, *a))
         return calls
 
     def test_no_newton_steps_keeps_the_evaluation(self, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,14 @@ class TestArmijoSearch:
         d = -np.ones(3)
         t, _, trials = armijo_search(f, x, d, np.ones(3), ArmijoParams(t0=0.7))
         assert t == 0.7 and trials == 1
+
+    def test_trial_points_are_formed_in_out(self):
+        seen = []
+        f = lambda z: seen.append(z) or 0.5 * float(z @ z)
+        x, d, out = np.array([1.0, 2.0]), np.array([-4.0, -8.0]), np.empty(2)
+        t, _, trials = armijo_search(f, x, d, -d / 4, ArmijoParams(), f_x=2.5, out=out)
+        assert t == 0.25 and trials == 3 and all(z is out for z in seen)
+        assert np.array_equal(out, x + t * d)
 
     def test_ascent_direction_rejected(self):
         f = lambda x: 0.5 * float(x @ x)
@@ -182,6 +192,29 @@ class TestPGDvsGD:
 
 
 class TestPGDInexact:
+    def test_allocation_peak_stays_under_eight_x_block_arrays(self):
+        # each x-block vector of a run exists once: trial points are formed in
+        # place, the cache copies x once, a rejected trial forms no gradient
+        # and a curvature product makes one array
+        p = LogSumExpProblem(20_000, 200)
+        part = p.partition
+        z0 = np.random.default_rng(0).uniform(-1.0, 1.0, p.n)
+        x0, y0 = z0[part.x_indices], z0[part.y_indices]
+        sched = ScheduledInexactElimination(NewtonElimination(p))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            *_, rec = pgd_inexact(p, part, sched, x0, y0, StopRule(1e-6, 1000))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rec.final.rel_grad_norm <= 1e-6
+        assert peak <= 8 * 8 * part.n_x
+
     def test_quadratic_matches_exact_pgd(self):
         # Newton inner with tight CG makes the map exact: same trajectory +-2
         p = build_test_matrix(5, 7, (1, 6), (1, 60), 1e-1, seed=4)

@@ -43,6 +43,28 @@ class TestBlockPartition:
         with pytest.raises(DimensionMismatch):
             BlockPartition(3, [0, 1, 2], [])
 
+    @pytest.mark.parametrize("x, y", [([-1, 1], [2, 3]), ([0, 1], [2, 4]), ([0, 1], [2, -4])],
+                             ids=["negative", "out-of-range", "negative-in-y"])
+    def test_rejects_indices_outside_the_range(self, x, y):
+        with pytest.raises(DimensionMismatch):
+            BlockPartition(4, x, y)
+
+    @pytest.mark.parametrize("x, y, ranges", [
+        (np.arange(2, 6), np.arange(2), (True, True)),
+        ([0, 2, 4], [1, 3, 5], (False, False)),
+        ([5, 4, 3], [0, 1, 2], (False, True)),
+        ([1, 3, 2, 4], [0, 5], (False, False)),
+    ], ids=["leading", "interleaved", "descending", "endpoints-of-a-range"])
+    def test_keys_slice_exactly_the_ascending_ranges(self, x, y, ranges):
+        p = BlockPartition(6, x, y)
+        z = np.arange(6.0) * 10
+        for key, indices, part, is_range in zip((p.x_key, p.y_key), (p.x_indices, p.y_indices),
+                                                 p.split(z), ranges):
+            assert isinstance(key, slice) == is_range
+            assert np.array_equal(part, z[indices]) and np.shares_memory(part, z) == is_range
+        assert np.array_equal(p.embed(*p.split(z)), z)
+        assert np.array_equal(p.lift_x(np.ones(p.n_x))[p.x_indices], np.ones(p.n_x))
+
     def test_split_embed_roundtrip(self):
         p = BlockPartition(5, [0, 2, 4], [1, 3])
         z = np.arange(5.0)
