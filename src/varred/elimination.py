@@ -213,16 +213,17 @@ class ScheduledInexactElimination:
 
     def accept(self, result: EliminationResult,
                residual: float | None = None) -> EliminationResult | None:
-        """Take ``result``, the solve at an accepted outer iterate, as warm start
-        and re-solve on its J(x, .) at ``rho`` times the last tolerance, floored;
-        given the inner ``residual`` where the outer stop rule holds, at the
-        floor, or not at all (None, nothing changed) if it is already there."""
+        """Re-solve ``result``, the solve at an accepted outer iterate, on its J(x, .)
+        at ``rho`` times the last tolerance, floored, and keep its y as warm start;
+        given the inner ``residual`` where the outer stop rule holds, at the floor,
+        or not at all (None, nothing changed) if it is already there."""
         if residual is not None and residual <= self.floor:
             return None
         self.tol_current = self.floor if residual is not None else max(
             self.rho * self.tol_current, self.floor)
-        self._warm = result.y.copy()
-        return self.inner.solve_frozen(result.restricted, result.y, self.tol_current)
+        resolved = self.inner.solve_frozen(result.restricted, result.y, self.tol_current)
+        self._warm = resolved.y.copy()
+        return resolved
 
 
 def exact_map(objective: Objective, partition: BlockPartition,

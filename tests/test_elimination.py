@@ -289,11 +289,13 @@ class TestScheduledInexactElimination:
             assert np.linalg.norm(result.restricted.linearize(result.y)[0]) <= expected
 
     def test_warm_start_updates_on_accept(self):
+        # the warm start is a copy of the re-solve's y, not the y it was handed
         p = LogSumExpProblem(20, 3)
         sched = ScheduledInexactElimination(NewtonElimination(p))
         y = np.array([1.0, -2.0, 0.5])
-        sched.accept(EliminationResult(y, 0, p.restrict().at(np.zeros(17))))
-        assert np.array_equal(sched._warm, y) and sched._warm is not y
+        resolved = sched.accept(EliminationResult(y, 0, p.restrict().at(np.zeros(17))))
+        assert resolved.inner_iterations > 0 and not np.array_equal(resolved.y, y)
+        assert np.array_equal(sched._warm, resolved.y) and sched._warm is not resolved.y
 
     def test_floor_without_reset_is_inner_tol(self):
         # a schedule driven by plain gradient descent, never reset, floors its
