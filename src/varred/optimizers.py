@@ -160,9 +160,8 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
 
     Returns ``(t, f(x + t d), trials)``.  Each trial point is formed as t d,
     then += x, in ``out`` if given, which then holds the accepted one.  Raises
-    :class:`LineSearchFailure`
-    once ``max_trials`` trials are exhausted, and :class:`NotDescentDirection`
-    unless d is a descent direction (g'd < 0).
+    :class:`LineSearchFailure` once ``max_trials`` trials are exhausted, and
+    :class:`NotDescentDirection` unless d is a descent direction (g'd < 0).
     """
     gtd = float(g @ d)
     if gtd >= 0.0:
