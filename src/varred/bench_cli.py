@@ -106,15 +106,6 @@ class ExperimentConfig:
             raise ConfigError(f"method.name must be one of {METHODS}, got {self.method!r}")
         if self.step_mode not in ("auto", "optimal", "armijo"):
             raise ConfigError(f"method.step_mode must be auto|optimal|armijo, got {self.step_mode!r}")
-        if self.eliminate != "full":
-            if not self.eliminate.startswith("last:"):
-                raise ConfigError("method.eliminate must be 'full' or 'last:<n_r>'")
-            try:
-                n_r = int(self.eliminate.split(":", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad elimination scope {self.eliminate!r}") from exc
-            if n_r < 1:
-                raise ConfigError("elimination scope n_r must be >= 1")
         if self.step_mode == "optimal" and self.method == "pgd-exact" and self.kind != "quadratic":
             raise ConfigError("method.step_mode = optimal with pgd-exact needs a quadratic problem")
         for name in ("tol_init", "coupling_eps", "seed"):
@@ -125,6 +116,7 @@ class ExperimentConfig:
         if self.max_iter < 1:
             raise ConfigError("stop.max_iter must be >= 1")
         try:
+            self.scope_n_r  # parses [method] eliminate
             self.stop_rule()
             self.armijo_params()
             ScheduledInexactElimination.check_rho(self.rho)
@@ -141,10 +133,19 @@ class ExperimentConfig:
 
     @property
     def scope_n_r(self) -> int | None:
-        """Partial-elimination count, or None for the full eliminated block."""
+        """Partial-elimination count, or None for the full eliminated block;
+        a malformed ``eliminate`` raises ValueError."""
         if self.eliminate == "full":
             return None
-        return int(self.eliminate.split(":", 1)[1])
+        if not self.eliminate.startswith("last:"):
+            raise ValueError("method.eliminate must be 'full' or 'last:<n_r>'")
+        try:
+            n_r = int(self.eliminate.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValueError(f"bad elimination scope {self.eliminate!r}") from exc
+        if n_r < 1:
+            raise ValueError("elimination scope n_r must be >= 1")
+        return n_r
 
     def problem_label(self) -> str:
         if self.kind == "quadratic":

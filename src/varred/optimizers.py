@@ -88,10 +88,10 @@ class RecordRow:
 
 @dataclass
 class ConvergenceRecord:
-    """Per-iteration trace of an optimizer run."""
+    """Per-iteration trace of an optimizer run: one row per evaluated iterate,
+    row 0 at the start point."""
 
     rows: list[RecordRow] = field(default_factory=list)
-    iterates: list[np.ndarray] | None = None
 
     @property
     def iterations(self) -> int:
@@ -103,18 +103,18 @@ class ConvergenceRecord:
 
 
 class _Recorder:
-    """Accumulates record rows from row 0 at (fval0, grad_norm0, x0) on,
+    """Accumulates record rows from row 0 at (fval0, grad_norm0) on,
     tracking wall time, the inner-work deltas of the given counters (none for
     full-space gradient descent) and their linear solves since ``solves0``."""
 
-    def __init__(self, counters: tuple[WorkCounters, ...], keep_iterates: bool,
-                 solves0: int, fval0: float, grad_norm0: float, x0: np.ndarray):
-        self.record = ConvergenceRecord(iterates=[] if keep_iterates else None)
+    def __init__(self, counters: tuple[WorkCounters, ...], solves0: int,
+                 fval0: float, grad_norm0: float):
+        self.record = ConvergenceRecord()
         self._counters, self._solves0 = counters, solves0
         self._start = time.perf_counter()
         self._last_inner, _ = self._work()
         self._g0 = grad_norm0
-        self.add(0, fval0, grad_norm0, 0.0, x0)
+        self.add(0, fval0, grad_norm0, 0.0)
 
     def _work(self) -> tuple[int, int]:
         inner = solves = 0
@@ -122,14 +122,11 @@ class _Recorder:
             inner, solves = inner + c.inner_iterations, solves + c.linear_solves
         return inner, solves
 
-    def add(self, k: int, fval: float, grad_norm: float, step: float, x: np.ndarray,
-            revise: bool = False):
+    def add(self, k: int, fval: float, grad_norm: float, step: float, revise: bool = False):
         """Append row k; with ``revise`` it replaces the last row, a new evaluation
         at its x, and counts the inner work since the row before that one."""
         if revise:
             self._last_inner -= self.record.rows.pop().inner_iters
-            if self.record.iterates is not None:
-                self.record.iterates.pop()
         rel = 1.0 if k == 0 else (grad_norm / self._g0 if self._g0 > 0.0 else 0.0)
         inner, solves = self._work()
         self.record.rows.append(RecordRow(
@@ -138,8 +135,6 @@ class _Recorder:
             cum_linear_solves=solves - self._solves0,
             elapsed_s=time.perf_counter() - self._start))
         self._last_inner = inner
-        if self.record.iterates is not None:
-            self.record.iterates.append(np.array(x, copy=True))
 
 
 def optimal_step_quadratic(g: np.ndarray, hvp) -> float:
@@ -237,8 +232,8 @@ def _line_step(direction, step):
     return lambda x, g, val: step(x, direction(x, g), g, val)
 
 
-def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
-             name: str, counters: tuple[WorkCounters, ...] = ()) -> tuple[np.ndarray, ConvergenceRecord]:
+def _descend(obj, x: np.ndarray, stop: StopRule, advance, name: str,
+             counters: tuple[WorkCounters, ...] = ()) -> tuple[np.ndarray, ConvergenceRecord]:
     """The one outer loop, x <- advance(x, g, J(x)), on a full-space objective
     or a :class:`ReducedObjective`, with one ``evaluate`` per iterate.
 
@@ -254,7 +249,7 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
     solves0 = sum(c.linear_solves for c in counters)
     val, g = obj.evaluate(x)
     g_norm = g0 = float(np.linalg.norm(g))
-    rec = _Recorder(counters, keep_iterates, solves0, val, g_norm, x)
+    rec = _Recorder(counters, solves0, val, g_norm)
     k, t = 0, 0.0
     while not (met := stop.met(g_norm, g0)) or (reduced and obj.accept(x, final=True)):
         if not met:  # otherwise x was re-solved where the rule held: re-evaluate it
@@ -268,14 +263,13 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, keep_iterates: bool,
                 obj.accept(x)
         val, g = obj.evaluate(x)
         g_norm = float(np.linalg.norm(g))
-        rec.add(k, val, g_norm, t, x, revise=met)
+        rec.add(k, val, g_norm, t, revise=met)
     return x, rec.record
 
 
 def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
                      step_mode: str = "armijo",
-                     armijo: ArmijoParams | None = None,
-                     keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
+                     armijo: ArmijoParams | None = None) -> tuple[np.ndarray, ConvergenceRecord]:
     """Gradient descent on any objective exposing value/gradient.
 
     ``step_mode='optimal_quadratic'`` uses the closed-form step (g'g)/(g'Hg)
@@ -290,15 +284,13 @@ def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
         step = _armijo_step(obj, armijo or ArmijoParams())
     else:
         raise ValueError(f"unknown step_mode {step_mode!r}")
-    return _descend(obj, as_vector(x0), stop, _line_step(_steepest, step),
-                    keep_iterates, "gradient descent")
+    return _descend(obj, as_vector(x0), stop, _line_step(_steepest, step), "gradient descent")
 
 
 def pgd_inexact(obj: Objective, part: BlockPartition,
                 elim: ScheduledInexactElimination,
                 x0: np.ndarray, y0: np.ndarray, stop: StopRule,
-                p: ArmijoParams | None = None,
-                keep_iterates: bool = False) -> tuple[np.ndarray, np.ndarray, ConvergenceRecord]:
+                p: ArmijoParams | None = None) -> tuple[np.ndarray, np.ndarray, ConvergenceRecord]:
     """PGD with scheduled inexact elimination: :func:`gradient_descent` with
     Armijo on J~ once ``reset`` starts the schedule from the warm start ``y0``.
 
@@ -312,13 +304,12 @@ def pgd_inexact(obj: Objective, part: BlockPartition,
     # inner residual floor two decades below the outer relative tolerance
     elim.reset(y0, floor=1e-2 * stop.rel_grad_tol)
     reduced = ReducedObjective(obj, part, elim)
-    x, record = gradient_descent(reduced, x0, stop, armijo=p, keep_iterates=keep_iterates)
+    x, record = gradient_descent(reduced, x0, stop, armijo=p)
     return x, reduced.eliminated_point(x), record
 
 
 def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarray,
-                             stop: StopRule,
-                             keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
+                             stop: StopRule) -> tuple[np.ndarray, ConvergenceRecord]:
     """Alternate argmin over the retained and eliminated blocks.
 
     One iteration is a full sweep (x update, then y update), recorded with
@@ -335,16 +326,15 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
         x_new = x_solver.solve(y_cur, y0=x_cur).y
         return part.embed(x_new, y_solver.solve(x_new, y0=y_cur).y), 1.0
 
-    return _descend(obj, as_vector(z0).copy(), stop, sweep, keep_iterates,
-                    "alternating minimization", (x_solver.counters, y_solver.counters))
+    return _descend(obj, as_vector(z0).copy(), stop, sweep, "alternating minimization",
+                    (x_solver.counters, y_solver.counters))
 
 
 def newton_eliminated(obj: Objective, part: BlockPartition,
                       elim=None,
                       x0: np.ndarray | None = None,
                       stop: StopRule | None = None,
-                      p: ArmijoParams | None = None,
-                      keep_iterates: bool = False) -> tuple[np.ndarray, ConvergenceRecord]:
+                      p: ArmijoParams | None = None) -> tuple[np.ndarray, ConvergenceRecord]:
     """Newton iteration on the reduced optimality system F~(x) = grad_x J(x, h(x)).
 
     The reduced Jacobian grad_xx J - grad_xy J (grad_yy J)^{-1} grad_yx J is
@@ -357,33 +347,4 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
     x = as_vector(x0).copy() if x0 is not None else np.zeros(reduced.partition.n_x)
     advance = _line_step(_newton_direction(reduced),
                          _armijo_step(reduced, p or ArmijoParams(), t_first=1.0))
-    return _descend(reduced, x, stop or StopRule(), advance, keep_iterates,
-                    "Newton with elimination")
-
-
-def check_rate_bound(record: ConvergenceRecord | None, kappa: float,
-                     x_star: np.ndarray, iterates: list[np.ndarray]) -> bool:
-    """Iterate-wise bound ||x_k - x*|| <= sqrt(kappa) ((kappa-1)/(kappa+1))^k ||x_0 - x*||.
-
-    Checked with multiplicative slack 1 + 1e-8 plus a roundoff floor of
-    1e-13 ||x_0 - x*|| so exactly-converging runs (kappa = 1) are not failed
-    on machine noise.
-    """
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
-    if record is not None and len(record.rows) != len(iterates):
-        raise ValueError("record and iterate list disagree in length")
-    x_star = as_vector(x_star)
-    e0 = float(np.linalg.norm(iterates[0] - x_star))
-    if e0 == 0.0:
-        return all(float(np.linalg.norm(xk - x_star)) == 0.0 for xk in iterates)
-    rate = (kappa - 1.0) / (kappa + 1.0)
-    slack = 1.0 + 1e-8
-    floor = 1e-13 * e0
-    bound = np.sqrt(kappa) * e0
-    for k, xk in enumerate(iterates):
-        if k > 0:
-            bound *= rate
-        if float(np.linalg.norm(xk - x_star)) > bound * slack + floor:
-            return False
-    return True
+    return _descend(reduced, x, stop or StopRule(), advance, "Newton with elimination")

@@ -19,16 +19,17 @@ from varred.elimination import (
     ScheduledInexactElimination,
 )
 from varred.errors import MaxIterReached
-from varred.linalg import LinOp, cg_solve, sym_matrix
+from varred.linalg import sym_matrix
 from varred.optimizers import (
     StopRule,
     alternating_minimization,
-    check_rate_bound,
     gradient_descent,
     newton_eliminated,
     pgd_inexact,
 )
 from varred.problems import BlockPartition, LogSumExpProblem, QuadraticProblem, build_test_matrix
+
+from oracles import check_rate_bound, quadratic_minimizer, recorded_iterates
 
 SEEDS = (0, 1, 2, 3, 4)
 STOP = StopRule(rel_grad_tol=1e-6, max_iter=20000)
@@ -196,17 +197,19 @@ def test_criterion_7_rate_bounds():
         n_x = int(rng.integers(3, 8))
         n_y = int(rng.integers(3, 9))
         problem = build_test_matrix(n_x, n_y, (1, 6), (1, 9 + 8 * seed), 1e-1, seed=seed)
-        z_star = cg_solve(LinOp.from_matrix(problem.a), problem.b, rel_tol=1e-14).x
-        _, rec_gd = gradient_descent(problem, np.zeros(n_x + n_y), STOP,
-                                     step_mode="optimal_quadratic", keep_iterates=True)
+        z_star = quadratic_minimizer(problem)
+        with recorded_iterates(problem) as iterates_gd:
+            _, rec_gd = gradient_descent(problem, np.zeros(n_x + n_y), STOP,
+                                         step_mode="optimal_quadratic")
         ev_a = np.linalg.eigvalsh(problem.a)
-        ok_gd = check_rate_bound(rec_gd, ev_a[-1] / ev_a[0], z_star, rec_gd.iterates)
+        ok_gd = check_rate_bound(rec_gd, ev_a[-1] / ev_a[0], z_star, iterates_gd)
         reduced = ReducedObjective(problem)
-        _, rec_pgd = gradient_descent(reduced, np.zeros(n_x), STOP,
-                                      step_mode="optimal_quadratic", keep_iterates=True)
+        with recorded_iterates(reduced) as iterates_pgd:
+            _, rec_pgd = gradient_descent(reduced, np.zeros(n_x), STOP,
+                                          step_mode="optimal_quadratic")
         s = QuadraticExactElimination(problem).s
         ev_s = np.linalg.eigvalsh(s)
-        ok_pgd = check_rate_bound(rec_pgd, ev_s[-1] / ev_s[0], z_star[:n_x], rec_pgd.iterates)
+        ok_pgd = check_rate_bound(rec_pgd, ev_s[-1] / ev_s[0], z_star[:n_x], iterates_pgd)
         ok &= ok_gd and ok_pgd
         details.append(f"seed{seed}: GD({rec_gd.iterations}it){'+' if ok_gd else '-'}"
                        f"PGD({rec_pgd.iterations}it){'+' if ok_pgd else '-'}")
@@ -243,7 +246,7 @@ def test_criterion_9_consistency_at_optimum():
     details = []
     # quadratic: direct-solve optimum
     quad = build_test_matrix(6, 9, (1, 5), (1, 40), 1e-1, seed=31)
-    z_star = cg_solve(LinOp.from_matrix(quad.a), quad.b, rel_tol=1e-14).x
+    z_star = quadratic_minimizer(quad)
     sched = ScheduledInexactElimination(NewtonElimination(quad))
     _, _, rec = pgd_inexact(quad, quad.partition, sched, z_star[:6], z_star[6:],
                             StopRule(max_iter=50))
@@ -280,19 +283,20 @@ def test_criterion_10_alternating_minimization_oracle():
         n_y = int(rng.integers(2, 11))
         problem = build_test_matrix(n_x, n_y, (1, 4), (1, 8), 3e-1, seed=seed)
         stop = StopRule(rel_grad_tol=1e-14, max_iter=6)
-        try:
-            _, rec = alternating_minimization(problem, problem.partition,
-                                              np.zeros(n_x + n_y), stop,
-                                              keep_iterates=True)
-        except MaxIterReached as exc:
-            rec = exc.record
+        with recorded_iterates(problem) as iterates:
+            try:
+                _, rec = alternating_minimization(problem, problem.partition,
+                                                  np.zeros(n_x + n_y), stop)
+            except MaxIterReached as exc:
+                rec = exc.record
+        assert len(iterates) == len(rec.rows)
         a = problem.a
         a11, a12 = a[:n_x, :n_x], a[:n_x, n_x:]
         a21, a22 = a[n_x:, :n_x], a[n_x:, n_x:]
         b1, b2 = problem.b[:n_x], problem.b[n_x:]
         x = np.zeros(n_x)
         y = np.zeros(n_y)
-        for zk in rec.iterates[1:]:
+        for zk in iterates[1:]:
             x = np.linalg.solve(a11, b1 - a12 @ y)
             y = np.linalg.solve(a22, b2 - a21 @ x)
             diff = float(np.abs(zk - np.concatenate([x, y])).max())

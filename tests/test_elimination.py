@@ -18,7 +18,7 @@ from varred.elimination import (
     exact_map,
 )
 from varred.errors import DimensionMismatch, NonConvergence
-from varred.linalg import cg_solve, LinOp, sym_matrix
+from varred.linalg import LinOp, sym_matrix
 from varred.optimizers import StopRule, gradient_descent, pgd_inexact
 from varred.problems import (
     BlockPartition,
@@ -28,7 +28,7 @@ from varred.problems import (
     build_test_matrix,
 )
 
-from oracles import lse_dense_hessian
+from oracles import lse_dense_hessian, quadratic_minimizer
 
 
 def two_by_two_problem():
@@ -194,7 +194,7 @@ class TestNewtonElimination:
 
     def test_consistency_returns_warm_start(self):
         p = build_test_matrix(3, 5, (1, 3), (1, 9), 1e-1, seed=1)
-        z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
+        z_star = quadratic_minimizer(p)
         elim = NewtonElimination(p, inner_tol=1e-8)
         res = elim.solve(z_star[:3], y0=z_star[3:])
         assert res.inner_iterations == 0
@@ -311,7 +311,7 @@ class TestScheduledInexactElimination:
 
     def test_consistent_warm_start_short_circuits(self):
         p = build_test_matrix(3, 4, (1, 3), (1, 7), 1e-1, seed=2)
-        z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
+        z_star = quadratic_minimizer(p)
         sched = ScheduledInexactElimination(NewtonElimination(p))
         sched.reset(z_star[3:], floor=0.0)
         res = sched.solve(z_star[:3])
@@ -363,7 +363,7 @@ class TestReducedObjective:
 
     def test_value_at_minimizer_is_global_minimum(self):
         p = build_test_matrix(4, 5, (1, 4), (1, 9), 1e-1, seed=8)
-        z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
+        z_star = quadratic_minimizer(p)
         reduced = ReducedObjective(p)
         assert reduced.value(z_star[:4]) == pytest.approx(p.value(z_star), abs=1e-12)
 
@@ -381,7 +381,7 @@ class TestReducedObjective:
 
     def test_gradient_vanishes_at_minimizer(self):
         p = build_test_matrix(4, 4, (1, 3), (1, 8), 1e-1, seed=10)
-        z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
+        z_star = quadratic_minimizer(p)
         reduced = ReducedObjective(p)
         assert np.linalg.norm(reduced.gradient(z_star[:4])) <= 1e-10
 

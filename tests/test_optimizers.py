@@ -14,13 +14,12 @@ from varred.elimination import (
     ReducedObjective,
     ScheduledInexactElimination,
 )
-from varred.linalg import LinOp, cg_solve
+from varred.linalg import LinOp
 from varred.optimizers import (
     ArmijoParams,
     StopRule,
     alternating_minimization,
     armijo_search,
-    check_rate_bound,
     gradient_descent,
     newton_eliminated,
     optimal_step_quadratic,
@@ -28,7 +27,7 @@ from varred.optimizers import (
 )
 from varred.problems import LogSumExpProblem, Objective, QuadraticProblem, build_test_matrix
 
-from oracles import lse_minimizer
+from oracles import check_rate_bound, lse_minimizer, quadratic_minimizer, recorded_iterates
 
 
 class TestOptimalStep:
@@ -167,9 +166,11 @@ class TestGradientDescent:
         p = build_test_matrix(4, 6, (1, 5), (1, 50), 1e-1, seed=3)
         elim = QuadraticExactElimination(p)
         reduced = ReducedObjective(p, elim=elim)
-        x, rec = gradient_descent(reduced, np.zeros(4), StopRule(max_iter=2000),
-                                  step_mode="optimal_quadratic", keep_iterates=True)
-        for xk in rec.iterates[-3:]:
+        with recorded_iterates(reduced) as iterates:
+            x, rec = gradient_descent(reduced, np.zeros(4), StopRule(max_iter=2000),
+                                      step_mode="optimal_quadratic")
+        assert len(iterates) == len(rec.rows)
+        for xk in iterates[-3:]:
             res = elim.solve(xk)
             z = p.partition.embed(xk, res.y)
             grad_y = p.gradient(z)[p.partition.y_indices]
@@ -229,7 +230,7 @@ class TestPGDInexact:
 
     def test_start_at_optimum_zero_or_one_iterations(self):
         p = build_test_matrix(4, 5, (1, 4), (1, 20), 1e-1, seed=5)
-        z_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
+        z_star = quadratic_minimizer(p)
         sched = ScheduledInexactElimination(NewtonElimination(p))
         _, _, rec = pgd_inexact(p, p.partition, sched, z_star[:4], z_star[4:],
                                 StopRule(max_iter=100))
@@ -391,12 +392,13 @@ class TestAlternatingMinimization:
     def test_half_sweep_monotonicity(self):
         p = build_test_matrix(4, 6, (1, 4), (1, 30), 2e-1, seed=7)
         part = p.partition
-        _, rec = alternating_minimization(p, part, np.zeros(10),
-                                          StopRule(rel_grad_tol=1e-8, max_iter=200),
-                                          keep_iterates=True)
+        with recorded_iterates(p) as iterates:
+            _, rec = alternating_minimization(p, part, np.zeros(10),
+                                              StopRule(rel_grad_tol=1e-8, max_iter=200))
+        assert len(iterates) == len(rec.rows)
         # J(z_0), then J(x_{k+1}, y_k) and J(z_{k+1}) for every sweep
-        hv = [p.value(rec.iterates[0])]
-        for z_prev, z_next in zip(rec.iterates, rec.iterates[1:]):
+        hv = [p.value(iterates[0])]
+        for z_prev, z_next in zip(iterates, iterates[1:]):
             hv += [p.value(part.embed(part.split(z_next)[0], part.split(z_prev)[1])),
                    p.value(z_next)]
         hv = np.array(hv)
@@ -405,17 +407,18 @@ class TestAlternatingMinimization:
     def test_coincides_with_block_gauss_seidel(self):
         p = build_test_matrix(4, 5, (1, 4), (1, 8), 3e-1, seed=8)
         stop = StopRule(rel_grad_tol=1e-14, max_iter=6)
-        try:
-            _, rec = alternating_minimization(p, p.partition, np.zeros(9), stop,
-                                              keep_iterates=True)
-        except MaxIterReached as exc:
-            rec = exc.record
+        with recorded_iterates(p) as iterates:
+            try:
+                _, rec = alternating_minimization(p, p.partition, np.zeros(9), stop)
+            except MaxIterReached as exc:
+                rec = exc.record
+        assert len(iterates) == len(rec.rows)
         a11, a12 = p.a[:4, :4], p.a[:4, 4:]
         a21, a22 = p.a[4:, :4], p.a[4:, 4:]
         b1, b2 = p.b[:4], p.b[4:]
         x = np.zeros(4)
         y = np.zeros(5)
-        for zk in rec.iterates[1:]:
+        for zk in iterates[1:]:
             x = np.linalg.solve(a11, b1 - a12 @ y)
             y = np.linalg.solve(a22, b2 - a21 @ x)
             assert np.abs(zk - np.concatenate([x, y])).max() <= 1e-10
@@ -583,28 +586,28 @@ class TestLoopContract:
 class TestRateBound:
     def test_identity_matrix_trivial_bound(self):
         p = QuadraticProblem(np.eye(3), np.array([1.0, 2.0, -1.0]))
-        x, rec = gradient_descent(p, np.zeros(3), StopRule(max_iter=10),
-                                  step_mode="optimal_quadratic", keep_iterates=True)
-        x_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
-        assert check_rate_bound(rec, 1.0, x_star, rec.iterates)
+        with recorded_iterates(p) as iterates:
+            x, rec = gradient_descent(p, np.zeros(3), StopRule(max_iter=10),
+                                      step_mode="optimal_quadratic")
+        assert check_rate_bound(rec, 1.0, quadratic_minimizer(p), iterates)
 
     def test_full_space_bound_with_kappa_a(self):
         p = build_test_matrix(4, 6, (1, 5), (1, 80), 1e-1, seed=11)
-        _, rec = gradient_descent(p, np.zeros(10), StopRule(max_iter=20000),
-                                  step_mode="optimal_quadratic", keep_iterates=True)
-        x_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x
+        with recorded_iterates(p) as iterates:
+            _, rec = gradient_descent(p, np.zeros(10), StopRule(max_iter=20000),
+                                      step_mode="optimal_quadratic")
         ev = np.linalg.eigvalsh(p.a)
-        assert check_rate_bound(rec, ev[-1] / ev[0], x_star, rec.iterates)
+        assert check_rate_bound(rec, ev[-1] / ev[0], quadratic_minimizer(p), iterates)
 
     def test_reduced_bound_with_kappa_s(self):
         p = build_test_matrix(4, 6, (1, 5), (1, 80), 1e-1, seed=11)
         reduced = ReducedObjective(p)
-        _, rec = gradient_descent(reduced, np.zeros(4), StopRule(max_iter=20000),
-                                  step_mode="optimal_quadratic", keep_iterates=True)
-        x_star = cg_solve(LinOp.from_matrix(p.a), p.b, rel_tol=1e-14).x[:4]
+        with recorded_iterates(reduced) as iterates:
+            _, rec = gradient_descent(reduced, np.zeros(4), StopRule(max_iter=20000),
+                                      step_mode="optimal_quadratic")
         s = QuadraticExactElimination(p).s
         ev = np.linalg.eigvalsh(s)
-        assert check_rate_bound(rec, ev[-1] / ev[0], x_star, rec.iterates)
+        assert check_rate_bound(rec, ev[-1] / ev[0], quadratic_minimizer(p)[:4], iterates)
 
     def test_violated_bound_detected(self):
         iterates = [np.array([1.0]), np.array([0.9])]
