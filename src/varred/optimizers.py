@@ -102,41 +102,6 @@ class ConvergenceRecord:
         return self.rows[-1]
 
 
-class _Recorder:
-    """Accumulates record rows from row 0 at (fval0, grad_norm0) on,
-    tracking wall time, the inner-work deltas of the given counters (none for
-    full-space gradient descent) and their linear solves since ``solves0``."""
-
-    def __init__(self, counters: tuple[WorkCounters, ...], solves0: int,
-                 fval0: float, grad_norm0: float):
-        self.record = ConvergenceRecord()
-        self._counters, self._solves0 = counters, solves0
-        self._start = time.perf_counter()
-        self._last_inner, _ = self._work()
-        self._g0 = grad_norm0
-        self.add(0, fval0, grad_norm0, 0.0)
-
-    def _work(self) -> tuple[int, int]:
-        inner = solves = 0
-        for c in self._counters:
-            inner, solves = inner + c.inner_iterations, solves + c.linear_solves
-        return inner, solves
-
-    def add(self, k: int, fval: float, grad_norm: float, step: float, revise: bool = False):
-        """Append row k; with ``revise`` it replaces the last row, a new evaluation
-        at its x, and counts the inner work since the row before that one."""
-        if revise:
-            self._last_inner -= self.record.rows.pop().inner_iters
-        rel = 1.0 if k == 0 else (grad_norm / self._g0 if self._g0 > 0.0 else 0.0)
-        inner, solves = self._work()
-        self.record.rows.append(RecordRow(
-            iteration=k, fval=fval, grad_norm=grad_norm, rel_grad_norm=rel,
-            step=step, inner_iters=inner - self._last_inner,
-            cum_linear_solves=solves - self._solves0,
-            elapsed_s=time.perf_counter() - self._start))
-        self._last_inner = inner
-
-
 def optimal_step_quadratic(g: np.ndarray, hvp) -> float:
     """Exact minimizing step along -g for a quadratic: (g'g)/(g'Hg)."""
     gg = float(g @ g)
@@ -233,38 +198,48 @@ def _line_step(direction, step):
 
 
 def _descend(obj, x: np.ndarray, stop: StopRule, advance, name: str,
-             counters: tuple[WorkCounters, ...] = ()) -> tuple[np.ndarray, ConvergenceRecord]:
+             work: WorkCounters | None = None) -> tuple[np.ndarray, ConvergenceRecord]:
     """The one outer loop, x <- advance(x, g, J(x)), on a full-space objective
     or a :class:`ReducedObjective`, with one ``evaluate`` per iterate.
 
-    The record counts the inner work of ``counters``, or of a reduced
-    objective's map.  A reduced objective ``accept``s each iterate before it
-    is evaluated there, and again as final where the stop rule holds: if J~
-    changed, x is evaluated again, rewrites the last row and is tested again,
-    with no outer step.  Raises :class:`MaxIterReached` (record attached)
-    when the budget runs out.
+    A reduced objective ``accept``s each iterate before it is evaluated there,
+    and again as final where the stop rule holds: if J~ changed, x is
+    evaluated and tested again, with no outer step.  Each row is written once
+    x is settled, from the inner work of a reduced objective's map or of
+    ``work`` (none if None): ``inner_iters`` since the previous row, re-solves
+    included, and ``cum_linear_solves`` since the start.  Solves count from
+    before the evaluation at x0 and inner steps from after it, so row 0 counts
+    that evaluation's linear solves but not its steps.  Raises
+    :class:`MaxIterReached` (record attached) when the budget runs out.
     """
     reduced = isinstance(obj, ReducedObjective)
-    counters = (obj.counters,) if reduced else counters
-    solves0 = sum(c.linear_solves for c in counters)
-    val, g = obj.evaluate(x)
-    g_norm = g0 = float(np.linalg.norm(g))
-    rec = _Recorder(counters, solves0, val, g_norm)
-    k, t = 0, 0.0
-    while not (met := stop.met(g_norm, g0)) or (reduced and obj.accept(x, final=True)):
-        if not met:  # otherwise x was re-solved where the rule held: re-evaluate it
-            if k == stop.max_iter:
-                raise MaxIterReached(
-                    f"{name}: no convergence within {stop.max_iter} iterations "
-                    f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=rec.record)
-            k += 1
-            x, t = advance(x, g, val)
-            if reduced:
-                obj.accept(x)
+    work = obj.counters if reduced else work or WorkCounters()
+    solves0, record = work.linear_solves, ConvergenceRecord()
+    k, t, g0 = 0, 0.0, None
+    while True:
         val, g = obj.evaluate(x)
         g_norm = float(np.linalg.norm(g))
-        rec.add(k, val, g_norm, t, revise=met)
-    return x, rec.record
+        if g0 is None:  # at x0: the clock and the inner steps start after its solve
+            g0, start, inner = g_norm, time.perf_counter(), work.inner_iterations
+        if (met := stop.met(g_norm, g0)) and reduced and obj.accept(x, final=True):
+            continue  # J~ at x changed: evaluate x again
+        record.rows.append(RecordRow(
+            iteration=k, fval=val, grad_norm=g_norm,
+            rel_grad_norm=1.0 if k == 0 else (g_norm / g0 if g0 > 0.0 else 0.0),
+            step=t, inner_iters=work.inner_iterations - inner,
+            cum_linear_solves=work.linear_solves - solves0,
+            elapsed_s=time.perf_counter() - start))
+        inner = work.inner_iterations
+        if met:
+            return x, record
+        if k == stop.max_iter:
+            raise MaxIterReached(
+                f"{name}: no convergence within {stop.max_iter} iterations "
+                f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=record)
+        k += 1
+        x, t = advance(x, g, val)
+        if reduced:
+            obj.accept(x)
 
 
 def gradient_descent(obj, x0: np.ndarray, stop: StopRule,
@@ -320,14 +295,15 @@ def alternating_minimization(obj: Objective, part: BlockPartition, z0: np.ndarra
     """
     x_solver = exact_map(obj, part.swapped())
     y_solver = exact_map(obj, part)
+    y_solver.counters = x_solver.counters  # one tally for both block solves
 
     def sweep(z, g, val):
         x_cur, y_cur = part.split(z)
         x_new = x_solver.solve(y_cur, y0=x_cur).y
         return part.embed(x_new, y_solver.solve(x_new, y0=y_cur).y), 1.0
 
-    return _descend(obj, as_vector(z0).copy(), stop, sweep, "alternating minimization",
-                    (x_solver.counters, y_solver.counters))
+    return _descend(obj, as_vector(z0), stop, sweep, "alternating minimization",
+                    x_solver.counters)
 
 
 def newton_eliminated(obj: Objective, part: BlockPartition,
@@ -344,7 +320,7 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
     damped by Armijo on the reduced objective from a unit trial step.
     """
     reduced = ReducedObjective(obj, part, elim)
-    x = as_vector(x0).copy() if x0 is not None else np.zeros(reduced.partition.n_x)
+    x = as_vector(x0) if x0 is not None else np.zeros(reduced.partition.n_x)
     advance = _line_step(_newton_direction(reduced),
                          _armijo_step(reduced, p or ArmijoParams(), t_first=1.0))
     return _descend(reduced, x, stop or StopRule(), advance, "Newton with elimination")

@@ -6,7 +6,9 @@ log-sum-exp problem, and its history is compared row by row with
 gradient descent, inexact PGD, reduced Newton and alternating minimization
 were folded into one, and before problems derived their values and gradients
 from one evaluation; it must only change together with an intended change of
-the histories.  Counts are compared exactly; values at relative 1e-12.
+the histories.  Counts are compared exactly; values at relative 1e-12.  The
+``iter`` column and the relative gradient norms, which the loop derives from
+row 0, are checked exactly against the record itself.
 """
 
 import json
@@ -49,6 +51,10 @@ def test_history_matches_pinned(case, tmp_path):
     assert record.iterations == pinned["iterations"]
     assert [r.inner_iters for r in record.rows] == pinned["inner_iters"]
     assert [r.cum_linear_solves for r in record.rows] == pinned["cum_linear_solves"]
+    assert [r.iteration for r in record.rows] == list(range(record.iterations + 1))
+    assert record.rows[0].rel_grad_norm == 1.0
+    g0 = record.rows[0].grad_norm
+    assert all(r.rel_grad_norm == r.grad_norm / g0 for r in record.rows[1:])
     for column in ("fval", "grad_norm", "step"):
         got = [getattr(r, column) for r in record.rows]
         assert got == pytest.approx(pinned[column], rel=1e-12, abs=0.0), column

@@ -129,6 +129,21 @@ class TestGradientDescent:
         with pytest.raises(ValueError, match="max_iter"):
             StopRule(rel_grad_tol=1e-300, max_iter=-1)
 
+    def test_max_iter_zero_records_row_zero_only(self):
+        p = build_test_matrix(4, 6, (1, 5), (1, 80), 1e-1, seed=11)
+        with pytest.raises(MaxIterReached) as exc:
+            gradient_descent(p, np.zeros(10), StopRule(max_iter=0))
+        assert len(exc.value.record.rows) == 1
+        assert str(exc.value).endswith("within 0 iterations (rel grad 1.000e+00)")
+
+    def test_max_iter_message_reads_the_last_row(self):
+        p = build_test_matrix(4, 6, (1, 5), (1, 80), 1e-1, seed=11)
+        with pytest.raises(MaxIterReached) as exc:
+            gradient_descent(p, np.zeros(10), StopRule(rel_grad_tol=1e-300, max_iter=5))
+        rel = exc.value.record.final.rel_grad_norm
+        assert 0.0 < rel < 1.0
+        assert str(exc.value).endswith(f"within 5 iterations (rel grad {rel:.3e})")
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 1000))
     def test_monotone_objective_values(self, seed):

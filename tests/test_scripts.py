@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = {
     "run_quadratic_comparison.py": [],
     "run_logsumexp_comparison.py": ["--n", "200", "--n-el", "10"],
-    "run_elimination_sweep.py": ["--n", "200", "--n-el", "5,10"],
 }
 
 
