@@ -106,8 +106,6 @@ class ExperimentConfig:
             raise ConfigError(f"method.name must be one of {METHODS}, got {self.method!r}")
         if self.step_mode not in ("auto", "optimal", "armijo"):
             raise ConfigError(f"method.step_mode must be auto|optimal|armijo, got {self.step_mode!r}")
-        if self.step_mode == "optimal" and self.method == "pgd-exact" and self.kind != "quadratic":
-            raise ConfigError("method.step_mode = optimal with pgd-exact needs a quadratic problem")
         for name in ("tol_init", "coupling_eps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -340,8 +338,7 @@ def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
     return report
 
 
-def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int],
-                     out: str | Path | None = None) -> dict[str, dict[int, RunSummary]]:
+def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int]) -> dict[str, dict[int, RunSummary]]:
     """Run gd / pgd-exact / pgd-inexact from z = 0 on the log-sum-exp problem
     for each n_el; write ``table_sweep.tsv`` of outer iterations (seconds).
 
@@ -358,14 +355,14 @@ def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int],
     for n_el in n_el_values:
         if not 1 <= n_el < cfg.n:
             raise ConfigError(f"n_el={n_el} must lie in [1, n={cfg.n})")
-    out_dir = Path(out) if out is not None else Path(cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
 
     methods = ("gd", "pgd-exact", "pgd-inexact")
     table: dict[str, dict[int, RunSummary]] = {m: {} for m in methods}
     for n_el in n_el_values:
         for method in methods:
             cell = replace(cfg, kind="logsumexp", n_el=n_el, method=method,
-                           eliminate="full", step_mode="auto", out_dir=str(out_dir),
+                           eliminate="full", step_mode="auto",
                            history=f"sweep_{method}_nel{n_el}.csv")
             summary, _ = run_experiment(cell, quiet=True)
             table[method][n_el] = summary

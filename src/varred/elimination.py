@@ -81,16 +81,16 @@ class QuadraticExactElimination:
 
     def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
         self.partition = partition or problem.partition
-        xi, yi = self.partition.x_indices, self.partition.y_indices
-        a, b = problem.a, problem.b
-        w_u = np.linalg.solve(a[np.ix_(yi, yi)], np.column_stack([a[np.ix_(yi, xi)], b[yi]]))
+        self.restriction = problem.restrict(self.partition)
+        a22, a_yx, b_y = self.restriction.blocks
+        w_u = np.linalg.solve(a22, np.column_stack([a_yx, b_y]))
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
-        a_xy = a[np.ix_(xi, yi)]
+        a, xi, yi = problem.a, self.partition.x_indices, self.partition.y_indices
+        a_xy = a[np.ix_(xi, yi)]  # its own slice: A_yx.T gives other rounding in the products
         s = a[np.ix_(xi, xi)] - a_xy @ self.w
         self.s = 0.5 * (s + s.T)
-        self.b_tilde = b[xi] - a_xy @ self.u
-        self.c_tilde = problem.c - 0.5 * float(b[yi] @ self.u)
-        self.restriction = problem.restrict(self.partition)
+        self.b_tilde = problem.b[xi] - a_xy @ self.u
+        self.c_tilde = problem.c - 0.5 * float(b_y @ self.u)
         self.counters = WorkCounters()
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,

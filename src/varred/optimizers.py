@@ -207,25 +207,27 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, name: str,
     evaluated and tested again, with no outer step.  Each row is written once
     x is settled, from the inner work of a reduced objective's map or of
     ``work`` (none if None): ``inner_iters`` since the previous row, re-solves
-    included, and ``cum_linear_solves`` since the start.  Solves count from
-    before the evaluation at x0 and inner steps from after it, so row 0 counts
-    that evaluation's linear solves but not its steps.  Raises
-    :class:`MaxIterReached` (record attached) when the budget runs out.
+    included, ``cum_linear_solves`` and ``elapsed_s`` since before the
+    evaluation at x0.  Inner steps count from after it, so row 0 counts its
+    solves and time but not its steps.  Every ``rel_grad_norm`` is
+    ``grad_norm / g0``, g0 the first norm at x0, which the stop rule divides
+    by (0 if g0 is 0).  Raises :class:`MaxIterReached` (record attached) when
+    the budget runs out.
     """
     reduced = isinstance(obj, ReducedObjective)
     work = obj.counters if reduced else work or WorkCounters()
-    solves0, record = work.linear_solves, ConvergenceRecord()
+    solves0, start, record = work.linear_solves, time.perf_counter(), ConvergenceRecord()
     k, t, g0 = 0, 0.0, None
     while True:
         val, g = obj.evaluate(x)
         g_norm = float(np.linalg.norm(g))
-        if g0 is None:  # at x0: the clock and the inner steps start after its solve
-            g0, start, inner = g_norm, time.perf_counter(), work.inner_iterations
+        if g0 is None:  # at x0: the inner steps start after its solve
+            g0, inner = g_norm, work.inner_iterations
         if (met := stop.met(g_norm, g0)) and reduced and obj.accept(x, final=True):
             continue  # J~ at x changed: evaluate x again
         record.rows.append(RecordRow(
             iteration=k, fval=val, grad_norm=g_norm,
-            rel_grad_norm=1.0 if k == 0 else (g_norm / g0 if g0 > 0.0 else 0.0),
+            rel_grad_norm=g_norm / g0 if g0 > 0.0 else 0.0,
             step=t, inner_iters=work.inner_iterations - inner,
             cum_linear_solves=work.linear_solves - solves0,
             elapsed_s=time.perf_counter() - start))
@@ -235,7 +237,7 @@ def _descend(obj, x: np.ndarray, stop: StopRule, advance, name: str,
         if k == stop.max_iter:
             raise MaxIterReached(
                 f"{name}: no convergence within {stop.max_iter} iterations "
-                f"(rel grad {g_norm / g0 if g0 > 0 else 0.0:.3e})", record=record)
+                f"(rel grad {record.final.rel_grad_norm:.3e})", record=record)
         k += 1
         x, t = advance(x, g, val)
         if reduced:

@@ -277,14 +277,21 @@ class TestCLI:
                      "--out", str(tmp_path / "o")]) == 0
         assert "gd" in capsys.readouterr().out
 
+    def test_optimal_step_pgd_exact_on_logsumexp(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
+                        "[method]\nstep_mode = optimal\n"
+                        f"[output]\ndir = {tmp_path / 'o'}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        fields = (tmp_path / "o" / "runs.log").read_text().split("\t")
+        assert fields[0] == "pgd-exact" and fields[-1].strip() == "converged"
+
     BAD_CONFIGS = {
         "unknown kind": "[problem]\nkind = cubic\n",
         "c1 = 2": "[armijo]\nc1 = 2\n",
         "shrink = 1.5": "[armijo]\nshrink = 1.5\n",
         "rel_grad_tol = 0": "[stop]\nrel_grad_tol = 0\n",
         "rho = 1.5": "[inexact]\nrho = 1.5\n",
-        "optimal step on logsumexp":
-            "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n[method]\nstep_mode = optimal\n",
         "scope beyond the block": "[problem]\nn_y = 60\n[method]\neliminate = last:100\n",
         "empty block": "[problem]\nn_x = 0\n",
         "reversed spectrum": "[problem]\nspec_x_lo = 5\nspec_x_hi = 1\n",

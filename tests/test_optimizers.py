@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,6 +177,20 @@ class TestGradientDescent:
         assert rec.rows[0].rel_grad_norm == 1.0
         assert rec.rows[0].step == 0.0
 
+    def test_the_clock_covers_the_evaluation_at_x0(self, monkeypatch):
+        # each evaluation takes one tick of a stub clock, and nothing else does
+        ticks = [0.0]
+        monkeypatch.setattr(varred.optimizers, "time", SimpleNamespace(perf_counter=lambda: ticks[0]))
+        p = QuadraticProblem(np.eye(2), np.ones(2))
+        evaluate = p.evaluate
+
+        def ticking(z):
+            ticks[0] += 1.0
+            return evaluate(z)
+        monkeypatch.setattr(p, "evaluate", ticking)
+        _, rec = gradient_descent(p, np.zeros(2), StopRule(), step_mode="optimal_quadratic")
+        assert [r.elapsed_s for r in rec.rows] == [1.0, 2.0]
+
     def test_pgd_feasibility_of_accepted_iterates(self):
         # every accepted (x, h(x)) satisfies the eliminated optimality block
         p = build_test_matrix(4, 6, (1, 5), (1, 50), 1e-1, seed=3)
@@ -250,6 +265,15 @@ class TestPGDInexact:
         _, _, rec = pgd_inexact(p, p.partition, sched, z_star[:4], z_star[4:],
                                 StopRule(max_iter=100))
         assert rec.iterations <= 1
+
+    def test_row_zero_rel_grad_is_grad_norm_over_g0(self):
+        # decoupled and started at the retained minimizer: g0 is 0, and the final re-solve takes steps
+        p = QuadraticProblem(np.diag([1.0, 2, 3, 4, 5]), np.ones(5))
+        sched = ScheduledInexactElimination(NewtonElimination(p, cg_rel_tol=0.5), tol_init=0.1)
+        _, _, rec = pgd_inexact(p, p.partition, sched, 1.0 / np.arange(1.0, 4.0), np.zeros(2),
+                                StopRule())
+        assert rec.iterations == 0 and rec.rows[0].inner_iters > 0
+        assert rec.rows[0].grad_norm == 0.0 and rec.rows[0].rel_grad_norm == 0.0
 
     def test_logsumexp_converges_with_inner_residual_floor(self):
         p = LogSumExpProblem(100, 8)
