@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError(f"method.name must be one of {METHODS}, got {self.method!r}")
         if self.step_mode not in ("auto", "optimal", "armijo"):
             raise ConfigError(f"method.step_mode must be auto|optimal|armijo, got {self.step_mode!r}")
+        if self.step_mode != "auto" and self.method not in ("gd", "pgd-exact"):
+            raise ConfigError(f"method.step_mode applies to gd and pgd-exact only, not {self.method}")
         for name in ("tol_init", "coupling_eps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")

@@ -11,13 +11,16 @@ the x-block products for the reduced Hessian.  Both problems here make the
 work of an inner Newton iterate depend on n_y alone, and log-sum-exp makes an
 x-block product O(n) with no ``exp``.  Its restriction writes every x-block
 vector it returns in place, so a product or an evaluation makes that one
-array, and ``evaluate(y, grad_x=False)`` makes none.
+array, and ``evaluate(y, grad_x=False)`` makes none.  A quadratic stores its
+validated A read-only and, until it stores another, refers to it weakly: a
+problem on that array, or on an equal one, shares it and repeats no check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,20 +222,29 @@ class QuadraticRestricted(Restricted):
         return a22 @ y + self.r, LinOp.from_matrix(a22)
 
 
+_validated = None  # weak reference to the last A a QuadraticProblem stored
+
+
 class QuadraticProblem(Objective):
-    """J(z) = 1/2 z'Az - b'z + c with SPD A."""
+    """J(z) = 1/2 z'Az - b'z + c with SPD A, stored read-only."""
 
     restricted = QuadraticRestricted
 
     def __init__(self, a, b, c: float = 0.0, partition: BlockPartition | None = None):
-        self.a = sym_matrix(a)
+        global _validated
+        last = _validated and _validated()
+        hit = last is not None and not last.flags.writeable and (a is last or np.array_equal(a, last))
+        self.a = last if hit else sym_matrix(a)
         self.b = as_vector(b)
         self.c = float(c)
         self.n = self.b.size
         if self.a.shape != (self.n, self.n):
             raise DimensionMismatch("matrix and vector sizes disagree")
-        if not spd_check(self.a):
-            raise NotSPD("quadratic problem requires an SPD matrix")
+        if not hit:
+            if not spd_check(self.a):
+                raise NotSPD("quadratic problem requires an SPD matrix")
+            self.a.flags.writeable = False
+            _validated = weakref.ref(self.a)
         self.partition = partition or BlockPartition.eliminate_trailing(self.n, max(self.n // 2, 1))
 
     def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:

@@ -20,6 +20,7 @@ from varred.bench_cli import (
     CONFIG_KEYS,
     METHODS,
     ExperimentConfig,
+    build_problem,
     conditioning_report,
     emit_history_csv,
     main,
@@ -27,6 +28,7 @@ from varred.bench_cli import (
     run_experiment,
     run_table1_sweep,
 )
+from varred.elimination import QuadraticExactElimination
 from varred.errors import ConfigError, VarredError
 from varred.optimizers import ConvergenceRecord, RecordRow
 from varred.problems import QuadraticProblem
@@ -384,8 +386,8 @@ dir = {out}
             method_lines = "step_mode = armijo"
         elif breakdown == "overflow at the start point":
             # A z overflows, and the step rule or the stop rule meets a
-            # non-finite gradient
-            method_lines += f"\nz0_fill = {HUGE}"
+            # non-finite gradient; only gd and pgd-exact take a step_mode
+            method_lines = (method_lines if method in ("gd", "pgd-exact") else "") + f"\nz0_fill = {HUGE}"
         else:
             # LAPACK's LU can find A22 singular where the Cholesky check of A passed,
             # e.g. on a 4/6 quadratic with spec_y_hi = 1e18
@@ -402,6 +404,37 @@ dir = {out}
         log_lines = (out / "runs.log").read_text().splitlines()
         assert len(log_lines) == 1
         assert log_lines[0].split("\t")[-1].startswith("failed: ")
+
+    def test_singular_a22_with_a_warm_memo_exit_four(self, tmp_path, capsys, monkeypatch):
+        # a map built on the config's matrix leaves its validation and its
+        # condensation memoized; every later map on it still solves with A22
+        path = tmp_path / "cfg.ini"
+        path.write_text(SMALL_QUADRATIC)
+        warm = build_problem(parse_config(path))[0]
+        QuadraticExactElimination(warm)
+        assert build_problem(parse_config(path))[0].a is warm.a
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        for run in range(2):
+            out = tmp_path / f"o{run}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 4
+            assert "Traceback" not in capsys.readouterr().err
+            assert (out / "runs.log").read_text().split("\t")[-1].startswith("failed: Singular")
+
+    @pytest.mark.parametrize("method", ["pgd-inexact", "altmin", "newton-elim"])
+    @pytest.mark.parametrize("step_mode", ["optimal", "armijo"])
+    def test_step_mode_of_a_method_without_one_exit_three(self, tmp_path, capsys, method, step_mode):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SMALL_QUADRATIC.replace(
+            "eliminate = full", f"eliminate = full\nstep_mode = {step_mode}"))
+        assert main(["run", "--config", str(path), "--method", method,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
+        assert "step_mode" in err
 
     def test_report_condition_verb(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varred.problems
-from varred.errors import DimensionMismatch, NotSPD
+from varred.errors import DimensionMismatch, NonFinite, NotSPD
 from varred.linalg import condition_number, spd_check
 from varred.problems import (
     BlockPartition,
@@ -150,6 +153,57 @@ class TestQuadraticEval:
         p = build_test_matrix(3, 4, (1, 2), (1, 5), 1e-1, seed=3)
         v = rng.standard_normal(7)
         assert np.array_equal(p.hessian_vec(np.zeros(7), v), p.a @ v)
+
+
+class TestValidationMemo:
+    """A matrix equal to the last one a QuadraticProblem stored is that stored,
+    read-only array, checked once; anything else is checked in full."""
+
+    @staticmethod
+    def counting_spd_check(monkeypatch):
+        calls = []
+        monkeypatch.setattr(varred.problems, "spd_check", lambda a: calls.append(1) or spd_check(a))
+        return calls
+
+    def test_stored_matrix_is_read_only(self):
+        p = build_test_matrix(3, 4, (1, 2), (1, 5), 1e-1, seed=3)
+        with pytest.raises(ValueError):
+            p.a[0, 0] = 2.0
+
+    def test_equal_matrix_is_checked_once_until_evicted(self, monkeypatch):
+        p = build_test_matrix(3, 4, (1, 2), (1, 5), 1e-1, seed=3)
+        calls = self.counting_spd_check(monkeypatch)
+        for a in (p.a, p.a.copy(), p.a.tolist()):
+            assert QuadraticProblem(a, np.ones(7)).a is p.a
+        assert calls == []
+        QuadraticProblem(np.eye(7), np.ones(7))  # evicts p.a
+        q = QuadraticProblem(p.a.copy(), np.ones(7))
+        assert calls == [1, 1] and q.a is not p.a and np.array_equal(q.a, p.a)
+
+    def test_non_spd_matrix_is_never_memoized(self, monkeypatch):
+        calls = self.counting_spd_check(monkeypatch)
+        rejected = []
+        for _ in range(3):
+            with pytest.raises(NotSPD) as excinfo:
+                QuadraticProblem(np.diag([1.0, -1.0]), np.zeros(2))
+            rejected.append(excinfo)  # its traceback keeps the rejected problem alive
+        assert calls == [1, 1, 1]
+
+    def test_nan_matrix_after_an_equal_shaped_valid_one(self):
+        p = QuadraticProblem(np.eye(3), np.ones(3))
+        bad = np.array(p.a)
+        bad[1, 1] = np.nan
+        with pytest.raises(NonFinite):
+            QuadraticProblem(bad, np.ones(3))
+        with pytest.raises(DimensionMismatch):  # a hit still checks the vector's size
+            QuadraticProblem(p.a, np.ones(4))
+
+    def test_dropped_matrix_is_freed(self):
+        p = build_test_matrix(3, 4, (1, 2), (1, 5), 1e-1, seed=3)
+        ref = weakref.ref(p.a)
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 class TestLogSumExpEval:
