@@ -18,16 +18,12 @@ scheduled map's ``accept`` re-solves at an accepted outer iterate on that same
 J(x, .), so each point is frozen once.  Maps carry
 warm-start state and work counters, so a map instance is confined to a single
 optimizer run; distinct instances over the same (immutable) problem may run
-concurrently.  The exact quadratic map keeps the read-only blocks of A and
-the S it formed for the next map on the same stored A and partition, until
-another A or partition replaces them or A is freed.  That map still solves
-for its own W, whose columns do not depend on b, so S is bitwise the same.
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +68,6 @@ class CondensedRestricted(QuadraticRestricted):
         return 0.5 * float(x @ (g - e.b_tilde)) + e.c_tilde, g, np.zeros(y.size)
 
 
-# the last condensation: (weak reference to A, x indices, y indices, (A22, A_yx, A_xy, S))
-_condensed = None
-
-
-def _forget(ref):
-    global _condensed
-    if _condensed is not None and _condensed[0] is ref:
-        _condensed = None
-
-
 class QuadraticExactElimination:
     """Static condensation for a quadratic problem: h(x) = A22^{-1}(b2 - A21 x).
 
@@ -94,27 +80,15 @@ class QuadraticExactElimination:
     """
 
     def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
-        global _condensed
         self.partition = partition or problem.partition
         self.restriction = problem.restrict(self.partition)
-        a, xi, yi = problem.a, self.partition.x_indices, self.partition.y_indices
-        memo = _condensed
-        if (memo is not None and memo[0]() is a and not a.flags.writeable
-                and np.array_equal(memo[1], xi) and np.array_equal(memo[2], yi)):
-            a22, a_yx, a_xy, s = memo[3]
-        else:
-            a22, a_yx, _ = self.restriction.blocks
-            a_xy, s = a[np.ix_(xi, yi)], None  # its own slice: A_yx.T gives other rounding in the products
-        b_y = problem.b[yi]
+        a22, a_yx, b_y = self.restriction.blocks
         w_u = np.linalg.solve(a22, np.column_stack([a_yx, b_y]))
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
-        if s is None:
-            s = a[np.ix_(xi, xi)] - a_xy @ self.w
-            s = 0.5 * (s + s.T)
-            for block in (a22, a_yx, a_xy, s):
-                block.flags.writeable = False
-            _condensed = (weakref.ref(a, _forget), xi.copy(), yi.copy(), (a22, a_yx, a_xy, s))
-        self.s = s
+        a, xi, yi = problem.a, self.partition.x_indices, self.partition.y_indices
+        a_xy = a[np.ix_(xi, yi)]  # its own slice: A_yx.T gives other rounding in the products
+        s = a[np.ix_(xi, xi)] - a_xy @ self.w
+        self.s = 0.5 * (s + s.T)
         self.b_tilde = problem.b[xi] - a_xy @ self.u
         self.c_tilde = problem.c - 0.5 * float(b_y @ self.u)
         self.counters = WorkCounters()
@@ -248,7 +222,7 @@ class ScheduledInexactElimination:
         self.tol_current = self.floor if residual is not None else max(
             self.rho * self.tol_current, self.floor)
         resolved = self.inner.solve_frozen(result.restricted, result.y, self.tol_current)
-        self._warm[:] = resolved.y  # one buffer per schedule, not an allocation per accept
+        self._warm = resolved.y.copy()
         return resolved
 
 

@@ -13,7 +13,7 @@ x-block product O(n) with no ``exp``.  Its restriction writes every x-block
 vector it returns in place, so a product or an evaluation makes that one
 array, and ``evaluate(y, grad_x=False)`` makes none.  A quadratic stores its
 validated A read-only and, until it stores another, refers to it weakly: a
-problem on that array, or on an equal one, shares it and repeats no check.
+problem built on that very array shares it and repeats no check.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class QuadraticProblem(Objective):
     def __init__(self, a, b, c: float = 0.0, partition: BlockPartition | None = None):
         global _validated
         last = _validated and _validated()
-        hit = last is not None and not last.flags.writeable and (a is last or np.array_equal(a, last))
+        hit = last is not None and a is last and not last.flags.writeable
         self.a = last if hit else sym_matrix(a)
         self.b = as_vector(b)
         self.c = float(c)

@@ -28,7 +28,6 @@ from varred.bench_cli import (
     run_experiment,
     run_table1_sweep,
 )
-from varred.elimination import QuadraticExactElimination
 from varred.errors import ConfigError, VarredError
 from varred.optimizers import ConvergenceRecord, RecordRow
 from varred.problems import QuadraticProblem
@@ -406,13 +405,14 @@ dir = {out}
         assert log_lines[0].split("\t")[-1].startswith("failed: ")
 
     def test_singular_a22_with_a_warm_memo_exit_four(self, tmp_path, capsys, monkeypatch):
-        # a map built on the config's matrix leaves its validation and its
-        # condensation memoized; every later map on it still solves with A22
+        # each run builds its problem on the config's matrix, already validated,
+        # as a request does; its map still solves with A22
         path = tmp_path / "cfg.ini"
         path.write_text(SMALL_QUADRATIC)
-        warm = build_problem(parse_config(path))[0]
-        QuadraticExactElimination(warm)
-        assert build_problem(parse_config(path))[0].a is warm.a
+        warm, part = build_problem(parse_config(path))
+        built = []
+        monkeypatch.setattr(varred.bench_cli, "build_problem", lambda cfg: (
+            built.append(QuadraticProblem(warm.a, warm.b, warm.c, warm.partition)) or built[-1], part))
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -423,6 +423,7 @@ dir = {out}
             assert main(["run", "--config", str(path), "--out", str(out)]) == 4
             assert "Traceback" not in capsys.readouterr().err
             assert (out / "runs.log").read_text().split("\t")[-1].startswith("failed: Singular")
+        assert len(built) == 2 and all(problem.a is warm.a for problem in built)
 
     @pytest.mark.parametrize("method", ["pgd-inexact", "altmin", "newton-elim"])
     @pytest.mark.parametrize("step_mode", ["optimal", "armijo"])

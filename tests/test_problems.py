@@ -156,8 +156,8 @@ class TestQuadraticEval:
 
 
 class TestValidationMemo:
-    """A matrix equal to the last one a QuadraticProblem stored is that stored,
-    read-only array, checked once; anything else is checked in full."""
+    """The last matrix a QuadraticProblem stored is reused, read-only and
+    checked once, by a problem built on that array; any other is checked in full."""
 
     @staticmethod
     def counting_spd_check(monkeypatch):
@@ -170,23 +170,24 @@ class TestValidationMemo:
         with pytest.raises(ValueError):
             p.a[0, 0] = 2.0
 
-    def test_equal_matrix_is_checked_once_until_evicted(self, monkeypatch):
+    def test_stored_matrix_is_checked_once_until_evicted(self, monkeypatch):
         p = build_test_matrix(3, 4, (1, 2), (1, 5), 1e-1, seed=3)
         calls = self.counting_spd_check(monkeypatch)
-        for a in (p.a, p.a.copy(), p.a.tolist()):
-            assert QuadraticProblem(a, np.ones(7)).a is p.a
+        for _ in range(2):
+            assert QuadraticProblem(p.a, np.ones(7)).a is p.a
         assert calls == []
         QuadraticProblem(np.eye(7), np.ones(7))  # evicts p.a
-        q = QuadraticProblem(p.a.copy(), np.ones(7))
+        q = QuadraticProblem(p.a, np.ones(7))
         assert calls == [1, 1] and q.a is not p.a and np.array_equal(q.a, p.a)
 
     def test_non_spd_matrix_is_never_memoized(self, monkeypatch):
         calls = self.counting_spd_check(monkeypatch)
-        rejected = []
-        for _ in range(3):
-            with pytest.raises(NotSPD) as excinfo:
-                QuadraticProblem(np.diag([1.0, -1.0]), np.zeros(2))
-            rejected.append(excinfo)  # its traceback keeps the rejected problem alive
+        with pytest.raises(NotSPD) as excinfo:
+            QuadraticProblem(np.diag([1.0, -1.0]), np.zeros(2))
+        rejected = excinfo.traceback[-1].frame.f_locals["self"].a  # the array it would store
+        for _ in range(2):
+            with pytest.raises(NotSPD):
+                QuadraticProblem(rejected, np.zeros(2))
         assert calls == [1, 1, 1]
 
     def test_nan_matrix_after_an_equal_shaped_valid_one(self):
