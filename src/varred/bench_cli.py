@@ -175,7 +175,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+        raise ConfigError(f"malformed config {path}: {' '.join(str(exc).split())}") from exc
 
     cfg = ExperimentConfig()
     for section in parser.sections():

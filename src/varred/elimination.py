@@ -112,23 +112,19 @@ class NewtonElimination:
     Each solve freezes x once in the map's restriction of the objective; each
     residual evaluation is one ``linearize(y)`` of it, and the Newton step from
     an accepted point solves with the y-block Hessian operator of that same
-    linearization, by CG in at most max(500, 30 n_y) iterations.  With
-    ``cg_rel_tol=None`` the CG tolerance is the classical superlinear forcing
-    term eta = min(0.5, sqrt(residual)); a fixed tolerance can be supplied
-    instead (e.g. 1e-12 to make single-step exactness on quadratics
-    observable).  Steps are damped by backtracking on the residual-norm merit:
+    linearization, by CG at relative tolerance eta = min(0.5, sqrt(residual)),
+    the classical superlinear forcing term, within :func:`cg_solve`'s default
+    budget.  Steps are damped by backtracking on the residual-norm merit:
     from t = 1, halved up to 40 times until the residual falls by the factor
     1 - 1e-4 t (1 - eta).  A solve that needs more than 50 Newton steps, or
     whose damping fails, raises :class:`NonConvergence`.
     """
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
-                 inner_tol: float = 1e-10, cg_rel_tol: float | None = None):
+                 inner_tol: float = 1e-10):
         self.objective = objective
         self.partition = partition or objective.partition
         self.inner_tol = inner_tol
-        self.cg_rel_tol = cg_rel_tol
-        self.cg_max_iter = max(500, 30 * self.partition.n_y)
         self.restriction = objective.restrict(self.partition)
         self._warm = np.zeros(self.partition.n_y)
         self.counters = WorkCounters()
@@ -155,8 +151,8 @@ class NewtonElimination:
                     raise NonConvergence(
                         f"inner Newton stalled at residual {res:.3e} (tol {tol:.1e})",
                         residual=res, iterations=steps)
-                eta = self.cg_rel_tol if self.cg_rel_tol is not None else min(0.5, math.sqrt(res))
-                step = cg_solve(h_yy, -g_y, rel_tol=eta, max_iter=self.cg_max_iter).x
+                eta = min(0.5, math.sqrt(res))
+                step = cg_solve(h_yy, -g_y, rel_tol=eta).x
                 solves += 1
 
                 t = 1.0
@@ -222,7 +218,7 @@ class ScheduledInexactElimination:
         self.tol_current = self.floor if residual is not None else max(
             self.rho * self.tol_current, self.floor)
         resolved = self.inner.solve_frozen(result.restricted, result.y, self.tol_current)
-        self._warm = resolved.y.copy()
+        self._warm[:] = resolved.y  # the buffer reset made, not an allocation per iterate
         return resolved
 
 

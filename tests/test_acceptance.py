@@ -260,9 +260,9 @@ def test_criterion_9_consistency_at_optimum():
     # strongly convex problem: optimum from the eliminated Newton method
     lse = LogSumExpProblem(200, 10)
     x_star, _ = newton_eliminated(
-        lse, lse.partition, NewtonElimination(lse, inner_tol=1e-13, cg_rel_tol=1e-13),
+        lse, lse.partition, NewtonElimination(lse, inner_tol=1e-13),
         np.zeros(190), StopRule(rel_grad_tol=1e-12, max_iter=50))
-    elim_tight = NewtonElimination(lse, inner_tol=1e-13, cg_rel_tol=1e-13)
+    elim_tight = NewtonElimination(lse, inner_tol=1e-13)
     y_star = elim_tight.solve(x_star).y
     sched2 = ScheduledInexactElimination(NewtonElimination(lse))
     _, _, rec2 = pgd_inexact(lse, lse.partition, sched2, x_star, y_star,

@@ -278,6 +278,14 @@ class TestCLI:
                      "--out", str(tmp_path / "o")]) == 0
         assert "gd" in capsys.readouterr().out
 
+    def test_seed_override_wins(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SMALL_QUADRATIC)  # seed = 3
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--seed", "5", "--out", str(out)]) == 0
+        assert "seed=5" in capsys.readouterr().out
+        assert [csv.name for csv in out.glob("*.csv")] == ["pgd-exact_quadratic_seed5.csv"]
+
     def test_optimal_step_pgd_exact_on_logsumexp(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
@@ -294,6 +302,10 @@ class TestCLI:
         "rel_grad_tol = 0": "[stop]\nrel_grad_tol = 0\n",
         "rho = 1.5": "[inexact]\nrho = 1.5\n",
         "scope beyond the block": "[problem]\nn_y = 60\n[method]\neliminate = last:100\n",
+        "scope last:x": "[method]\neliminate = last:x\n",
+        "scope last:0": "[method]\neliminate = last:0\n",
+        # configparser's message spans three lines
+        "no section header": "n_x = 4\n",
         "empty block": "[problem]\nn_x = 0\n",
         "reversed spectrum": "[problem]\nspec_x_lo = 5\nspec_x_hi = 1\n",
         "inner_tol = 0": "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
@@ -451,11 +463,39 @@ dir = {out}
         assert main(["sweep-table1", "--config", str(path), "--n-el", "4,8"]) == 0
         assert "pgd-inexact" in capsys.readouterr().out
 
+    def test_sweep_marks_max_iter_and_failed_cells(self, tmp_path, capsys):
+        # gd and pgd-inexact run out of iterations; the exact map's Newton
+        # cannot reach inner_tol 1e-300 and its damping fails
+        path = tmp_path / "cfg.ini"
+        path.write_text("[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
+                        "[method]\ninner_tol = 1e-300\n[stop]\nmax_iter = 5\n"
+                        f"[output]\ndir = {tmp_path / 'o'}\n")
+        assert main(["sweep-table1", "--config", str(path), "--n-el", "4,8"]) == 4
+        rows = {line.split("\t")[0]: line.split("\t")[1:]
+                for line in capsys.readouterr().out.splitlines()[1:]}
+        assert all(cell.startswith("5 (") and cell.endswith(") [max-iter]")
+                   for cell in rows["gd"] + rows["pgd-inexact"])
+        assert all(cell.startswith("[failed: inner Newton damping failed at residual ")
+                   for cell in rows["pgd-exact"])
+
+    @pytest.mark.parametrize("n_el", ["4,x", "4.5", ","])
+    def test_bad_n_el_list_exit_three(self, tmp_path, capsys, n_el):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
+                        f"[output]\ndir = {tmp_path / 'o'}\n")
+        assert main(["sweep-table1", "--config", str(path), "--n-el", n_el]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("verb, config, code", [
         ("run", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
         ("report-condition", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
         ("run", f"[problem]\nn_x = 4\nn_y = 6\n[method]\nname = pgd-exact\nz0_fill = {HUGE}\n", 4),
-    ], ids=["run overflowing spectrum", "report overflowing spectrum", "overflowing start point"])
+        ("run", "[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
+                "[method]\nname = pgd-exact\ninner_tol = 1e-300\n", 4),
+    ], ids=["run overflowing spectrum", "report overflowing spectrum", "overflowing start point",
+            "inner Newton damping fails"])
     def test_no_numpy_warning_on_stderr(self, tmp_path, verb, config, code):
         # a process of its own, so that numpy's warnings reach stderr uncaptured
         (tmp_path / "cfg.ini").write_text(config + "[output]\ndir = out\n")

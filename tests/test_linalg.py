@@ -50,6 +50,11 @@ class TestCG:
             cg_solve(LinOp.from_matrix(a), rng.standard_normal(8), max_iter=1)
         assert exc.value.residual is not None and exc.value.residual > 0
 
+    def test_indefinite_operator_raises_not_spd(self):
+        # p = rhs on the first iteration: p'Ap = 1 - 3 < 0
+        with pytest.raises(NotSPD, match="not positive definite"):
+            cg_solve(LinOp.from_matrix(np.diag([1.0, -3.0])), np.ones(2))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 10_000))
     def test_finite_termination_small_spectra(self, n, seed):

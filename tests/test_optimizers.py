@@ -247,13 +247,13 @@ class TestPGDInexact:
         assert peak <= 8 * 8 * part.n_x
 
     def test_quadratic_matches_exact_pgd(self):
-        # Newton inner with tight CG makes the map exact: same trajectory +-2
+        # Newton inner down to 1e-10 makes the map near exact: same trajectory +-2
         p = build_test_matrix(5, 7, (1, 6), (1, 60), 1e-1, seed=4)
         stop = StopRule(rel_grad_tol=1e-6, max_iter=2000)
         reduced = ReducedObjective(p)
         _, rec_exact = gradient_descent(reduced, np.zeros(5), stop, step_mode="armijo")
         sched = ScheduledInexactElimination(
-            NewtonElimination(p, inner_tol=1e-10, cg_rel_tol=1e-12))
+            NewtonElimination(p, inner_tol=1e-10))
         _, _, rec_inexact = pgd_inexact(p, p.partition, sched, np.zeros(5),
                                         np.zeros(7), stop)
         assert abs(rec_inexact.iterations - rec_exact.iterations) <= 2
@@ -269,7 +269,7 @@ class TestPGDInexact:
     def test_row_zero_rel_grad_is_grad_norm_over_g0(self):
         # decoupled and started at the retained minimizer: g0 is 0, and the final re-solve takes steps
         p = QuadraticProblem(np.diag([1.0, 2, 3, 4, 5]), np.ones(5))
-        sched = ScheduledInexactElimination(NewtonElimination(p, cg_rel_tol=0.5), tol_init=0.1)
+        sched = ScheduledInexactElimination(NewtonElimination(p), tol_init=0.1)
         _, _, rec = pgd_inexact(p, p.partition, sched, 1.0 / np.arange(1.0, 4.0), np.zeros(2),
                                 StopRule())
         assert rec.iterations == 0 and rec.rows[0].inner_iters > 0
@@ -478,7 +478,7 @@ class TestNewtonEliminated:
 
     def test_logsumexp_superlinear_tail(self):
         p = LogSumExpProblem(50, 5)
-        elim = NewtonElimination(p, inner_tol=1e-13, cg_rel_tol=1e-13)
+        elim = NewtonElimination(p, inner_tol=1e-13)
         x, rec = newton_eliminated(p, p.partition, elim, np.zeros(45),
                                    stop=StopRule(rel_grad_tol=1e-9, max_iter=30))
         g = [r.grad_norm for r in rec.rows]
@@ -491,7 +491,7 @@ class TestNewtonEliminated:
     def test_jacobian_operator_matches_gradient_differences(self):
         p = LogSumExpProblem(25, 4)
         part = p.partition
-        elim = NewtonElimination(p, inner_tol=1e-12, cg_rel_tol=1e-12)
+        elim = NewtonElimination(p, inner_tol=1e-12)
         reduced = ReducedObjective(p, part, elim)
         rng = np.random.default_rng(10)
         x = rng.standard_normal(21) * 0.3

@@ -1,6 +1,7 @@
-"""Smoke test of the experiment scripts: each runs at a small size, as its own
+"""Smoke test of the scripts: the quadratic comparison runs, as its own
 process, into a temporary output directory and exits 0.  The history
-comparison script is checked on two runs of one small config."""
+comparison script is checked on two runs of one small config.  The log-sum-exp
+comparison is the CLI's ``sweep-table1``, tested with the CLI."""
 
 import os
 import subprocess
@@ -13,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPTS = {
     "run_quadratic_comparison.py": [],
-    "run_logsumexp_comparison.py": ["--n", "200", "--n-el", "10"],
 }
 
 
