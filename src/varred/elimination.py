@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .linalg import LinOp, as_vector, cg_solve
-from .problems import BlockPartition, Objective, QuadraticProblem, QuadraticRestricted, Restricted
+from .linalg import LinOp, as_vector, cg_solve, op_solve  # noqa: F401 (perfbench patches cg_solve here)
+from .problems import (BlockPartition, Objective, QuadraticProblem, QuadraticRestricted, Restricted,
+                       submatrix)
 
 
 @dataclass
@@ -85,11 +86,11 @@ class QuadraticExactElimination:
         a22, a_yx, b_y = self.restriction.blocks
         w_u = np.linalg.solve(a22, np.column_stack([a_yx, b_y]))
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
-        a, xi, yi = problem.a, self.partition.x_indices, self.partition.y_indices
-        a_xy = a[np.ix_(xi, yi)]  # its own slice: A_yx.T gives other rounding in the products
-        s = a[np.ix_(xi, xi)] - a_xy @ self.w
+        a, xk, yk = problem.a, self.partition.x_key, self.partition.y_key
+        a_xy = submatrix(a, xk, yk)  # its own slice: A_yx.T gives other rounding in the products
+        s = submatrix(a, xk, xk) - a_xy @ self.w
         self.s = 0.5 * (s + s.T)
-        self.b_tilde = problem.b[xi] - a_xy @ self.u
+        self.b_tilde = problem.b[xk] - a_xy @ self.u
         self.c_tilde = problem.c - 0.5 * float(b_y @ self.u)
         self.counters = WorkCounters()
 
@@ -112,10 +113,11 @@ class NewtonElimination:
     Each solve freezes x once in the map's restriction of the objective; each
     residual evaluation is one ``linearize(y)`` of it, and the Newton step from
     an accepted point solves with the y-block Hessian operator of that same
-    linearization, by CG at relative tolerance eta = min(0.5, sqrt(residual)),
-    the classical superlinear forcing term, within :func:`cg_solve`'s default
-    budget.  Steps are damped by backtracking on the residual-norm merit:
-    from t = 1, halved up to 40 times until the residual falls by the factor
+    linearization through :func:`op_solve`: directly if the operator has a
+    solve (log-sum-exp), else by CG, the only solves counted, at relative
+    tolerance eta = min(0.5, sqrt(residual)) within :func:`cg_solve`'s default
+    budget.  Steps are damped by backtracking on the residual-norm merit: from
+    t = 1, halved up to 40 times until the residual falls by the factor
     1 - 1e-4 t (1 - eta).  A solve that needs more than 50 Newton steps, or
     whose damping fails, raises :class:`NonConvergence`.
     """
@@ -152,8 +154,8 @@ class NewtonElimination:
                         f"inner Newton stalled at residual {res:.3e} (tol {tol:.1e})",
                         residual=res, iterations=steps)
                 eta = min(0.5, math.sqrt(res))
-                step = cg_solve(h_yy, -g_y, rel_tol=eta).x
-                solves += 1
+                step = op_solve(h_yy, -g_y, rel_tol=eta)
+                solves += h_yy.solve is None
 
                 t = 1.0
                 for _ in range(40):
@@ -308,8 +310,8 @@ class ReducedObjective:
 
             v -> grad_xx J v - grad_xy J (grad_yy J)^{-1} grad_yx J v,
 
-        with one y-block CG solve, at the default relative tolerance 1e-12, per
-        product; every block comes from the cached J(x, .)."""
+        with one y-block :func:`op_solve` (CG at relative tolerance 1e-12 unless
+        direct) per product; every block comes from the cached J(x, .)."""
         if isinstance(self.elim, QuadraticExactElimination):
             return LinOp(dim=self.n, apply=self.elim.schur_hvp)
         result = self._ensure(x)[1]
@@ -318,7 +320,7 @@ class ReducedObjective:
 
         def apply(v: np.ndarray) -> np.ndarray:
             h_xx_v, h_yx_v = along_x(v)
-            return h_xx_v - xy(cg_solve(h_yy, h_yx_v).x)
+            return h_xx_v - xy(op_solve(h_yy, h_yx_v))
         return LinOp(dim=self.n, apply=apply)
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Minimal dense linear algebra: matrix-free CG, condition numbers, random
-orthogonal matrices and SPD utilities.
+"""Minimal dense linear algebra: matrix-free CG, solves with an operator,
+condition numbers, random orthogonal matrices and SPD utilities.
 
 Vectors are plain 1-D float64 numpy arrays and symmetric matrices are square
 float64 arrays kept exactly symmetric by construction (``sym_matrix``).
@@ -42,10 +42,12 @@ def sym_matrix(m) -> np.ndarray:
 
 @dataclass
 class LinOp:
-    """A matrix-free symmetric linear operator on R^dim."""
+    """A matrix-free symmetric linear operator on R^dim; ``solve``, if set,
+    applies its inverse directly (see :func:`op_solve`)."""
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)
@@ -120,6 +122,11 @@ def cg_solve(
         residual=res,
         iterations=max_iter,
     )
+
+
+def op_solve(op: LinOp, rhs: np.ndarray, rel_tol: float = DEFAULT_CG_TOL) -> np.ndarray:
+    """op^{-1} rhs: by the operator's own ``solve`` if it has one, else by CG to ``rel_tol``."""
+    return op.solve(rhs) if op.solve is not None else cg_solve(op, rhs, rel_tol).x
 
 
 def condition_number(m: np.ndarray) -> float:

@@ -318,8 +318,9 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
     The reduced Jacobian grad_xx J - grad_xy J (grad_yy J)^{-1} grad_yx J is
     :meth:`ReducedObjective.hessian_op`, read off the restriction J(x, .) that
     evaluated J~ at x.  Each Newton system is solved by CG to relative residual
-    1e-12, as are the y-block solves inside each operator product; steps are
-    damped by Armijo on the reduced objective from a unit trial step.
+    1e-12; the y-block solve inside each operator product is direct where the
+    block has a direct solve (log-sum-exp), else CG to the same tolerance.
+    Steps are damped by Armijo on the reduced objective from a unit trial step.
     """
     reduced = ReducedObjective(obj, part, elim)
     x = as_vector(x0) if x0 is not None else np.zeros(reduced.partition.n_x)

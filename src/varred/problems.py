@@ -8,12 +8,13 @@ with x frozen once, by default through the full evaluation, so any objective
 with a Hessian-vector product supports elimination.  It is the one place that
 forms J's Hessian blocks at (x, y): the y block for the inner Newton solve and
 the x-block products for the reduced Hessian.  Both problems here make the
-work of an inner Newton iterate depend on n_y alone, and log-sum-exp makes an
-x-block product O(n) with no ``exp``.  Its restriction writes every x-block
-vector it returns in place, so a product or an evaluation makes that one
-array, and ``evaluate(y, grad_x=False)`` makes none.  A quadratic stores its
-validated A read-only and, until it stores another, refers to it weakly: a
-problem built on that very array shares it and repeats no check.
+work of an inner Newton iterate depend on n_y alone; log-sum-exp solves its y
+block directly and makes an x-block product O(n) with no ``exp``.  Its
+restriction writes every x-block vector it returns in place, so a product or
+an evaluation makes that one array, and ``evaluate(y, grad_x=False)`` makes
+none.  A quadratic stores its validated A read-only and, until it stores
+another, refers to it weakly: a problem built on that very array shares it and
+repeats no check; its blocks of a range partition are views of A.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ class BlockPartition:
         z = np.zeros(self.n)
         z[self.y_key] = w
         return z
+
+
+def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
+    """a[rows][:, cols] for two block keys: a view of ranges, else row-major as np.ix_ gives it."""
+    return a[rows][:, cols] if isinstance(cols, slice) else a[rows].take(cols, axis=1)
 
 
 class Restricted:
@@ -208,9 +214,9 @@ class QuadraticRestricted(Restricted):
 
     @staticmethod
     def blocks(objective: QuadraticProblem, part: BlockPartition):
-        """A22, A_yx and b_y."""
-        a, xi, yi = objective.a, part.x_indices, part.y_indices
-        return a[np.ix_(yi, yi)], a[np.ix_(yi, xi)], objective.b[yi]
+        """A22, A_yx and b_y, views if a range."""
+        a, xk, yk = objective.a, part.x_key, part.y_key
+        return submatrix(a, yk, yk), submatrix(a, yk, xk), objective.b[yk]
 
     @functools.cached_property
     def r(self) -> np.ndarray:
@@ -284,25 +290,33 @@ class LogSumExpRestricted(Restricted):
         self.xdx = float(x @ self.dx)
 
     def _softmax(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """(log of the partition sum, g = b_y w_y, the x-block weight scale)."""
+        """(log of the partition sum, the softmax weights w_y, the x-block weight scale)."""
         t = self.b_y * y
         m = max(self.m_x, float(t.max()))
         e = self.a_y * np.exp(t - m)
         shift = math.exp(self.m_x - m)
         s = self.s_x * shift + float(e.sum())
-        return m + math.log(s), self.b_y * (e / s), shift / s
+        return m + math.log(s), e / s, shift / s
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
-        """The operator is v -> (b g) v - g (g v) + d v on the block."""
-        _, g, _ = self._softmax(y)
-        bg, d = self.b_y * g, self.d_y
-        return g + d * y, LinOp(dim=y.size, apply=lambda v: bg * v - g * float(g @ v) + d * v)
+        """The operator is v -> D v - g (g'v) on the block, g = b w, D = diag(b g + d);
+        it solves by Sherman-Morrison, r -> D^{-1} r + D^{-1} g (g'D^{-1} r) / sigma, with
+        sigma = 1 - g'D^{-1} g = (softmax weight outside the block) + sum w d / D."""
+        _, w, scale = self._softmax(y)
+        g = self.b_y * w
+        diag = self.b_y * g + self.d_y
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            u = r / diag
+            sigma = self.s_x * scale + float(w @ (self.d_y / diag))
+            return u + g / diag * (float(g @ u) / sigma)
+        return g + self.d_y * y, LinOp(y.size, lambda v: diag * v - g * float(g @ v), solve)
 
     def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray | None, np.ndarray]:
-        lse, g, scale = self._softmax(y)
+        lse, w, scale = self._softmax(y)
         dy = self.d_y * y
         val = lse + 0.5 * (self.xdx + float(y @ dy))
-        dy += g
+        dy += self.b_y * w
         if not grad_x:
             return val, None, dy
         g_x = np.multiply(self.be_x, scale)
@@ -314,7 +328,8 @@ class LogSumExpRestricted(Restricted):
         v -> ((b_x g_x) v - g_x (g_x v) + d_x v, -g (g_x v)) and
         w -> -g_x (g w), in O(n) per product.  Each makes only the x-block array it
         returns, the first as (g_x (b_x v - g_x'v) / d_x + v) d_x in place (d_x > 0)."""
-        _, g, scale = self._softmax(y)
+        _, w, scale = self._softmax(y)
+        g = self.b_y * w
 
         def along_x(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             gv = scale * float(self.be_x @ v)
@@ -404,7 +419,6 @@ def build_test_matrix(
 
     n = n_x + n_y
     eps = coupling_eps
-    a = None
     for _ in range(61):
         a12 = eps * rng.uniform(-1.0, 1.0, size=(n_x, n_y))
         candidate = np.zeros((n, n))
@@ -412,11 +426,12 @@ def build_test_matrix(
         candidate[:n_x, n_x:] = a12
         candidate[n_x:, :n_x] = a12.T
         candidate[n_x:, n_x:] = a22
-        if spd_check(candidate):
-            a = candidate
+        try:  # validated once here; the problem returned shares the stored A
+            a = QuadraticProblem(candidate, np.zeros(n)).a
             break
-        eps *= 0.5
-    if a is None:
+        except NotSPD:
+            eps *= 0.5
+    else:
         raise ConstructionFailure("could not reach an SPD matrix by halving the coupling")
 
     b = rng.uniform(-1.0, 1.0, size=n)

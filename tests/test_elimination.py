@@ -260,15 +260,36 @@ class TestNewtonElimination:
         assert (elim.counters.inner_iterations, elim.counters.linear_solves) == (50, 50)
 
     def test_damping_failure_at_the_rounding_floor_raises(self):
-        # the residual bottoms out near 1e-20, where no damped step lowers it
-        elim = NewtonElimination(LogSumExpProblem(60, 4), inner_tol=1e-300)
-        with pytest.raises(NonConvergence, match="damping failed") as exc:
-            elim.solve(np.zeros(56))
-        assert 0.0 < exc.value.residual < 1e-15
-        steps = exc.value.iterations
-        assert steps > 0
-        # the failed step's CG solve is counted, its Newton step is not
-        assert (elim.counters.inner_iterations, elim.counters.linear_solves) == (steps, steps + 1)
+        # the residual bottoms out near rounding, where no damped step lowers it;
+        # log-sum-exp solves its block directly, a quadratic's by CG on A22
+        for problem, x, cg_solves in ((LogSumExpProblem(60, 4), np.zeros(56), lambda k: 0),
+                                      (build_test_matrix(4, 6, (1, 4), (1, 30), 1e-1, seed=0),
+                                       np.zeros(4), lambda k: k + 1)):
+            elim = NewtonElimination(problem, inner_tol=1e-300)
+            with pytest.raises(NonConvergence, match="damping failed") as exc:
+                elim.solve(x)
+            assert 0.0 < exc.value.residual < 1e-15
+            steps = exc.value.iterations
+            assert steps > 0
+            # the failed step's CG solve is counted, its Newton step is not
+            assert elim.counters.snapshot() == (steps, cg_solves(steps))
+
+    def test_only_a_block_without_a_direct_solve_runs_cg(self, monkeypatch):
+        # log-sum-exp's Newton steps and reduced Hessian products solve its
+        # block directly; a quadratic's Newton step is one counted CG solve on A22
+        calls = []
+        cg_solve = varred.linalg.cg_solve
+        monkeypatch.setattr(varred.linalg, "cg_solve", lambda *a, **kw: calls.append(1) or cg_solve(*a, **kw))
+        lse = LogSumExpProblem(60, 4)
+        elim = NewtonElimination(lse, inner_tol=1e-10)
+        res = elim.solve(np.zeros(56), y0=np.linspace(-1.0, 1.0, 4))
+        ReducedObjective(lse, lse.partition, elim).hessian_op(np.zeros(56))(np.ones(56))
+        assert res.inner_iterations > 0 and elim.counters.snapshot() == (res.inner_iterations, 0)
+        assert calls == []
+        elim = NewtonElimination(build_test_matrix(4, 6, (1, 4), (1, 30), 1e-1, seed=7))
+        res = elim.solve(np.ones(4))
+        assert res.inner_iterations > 0 and len(calls) == res.inner_iterations
+        assert elim.counters.snapshot() == (res.inner_iterations, res.inner_iterations)
 
     @pytest.mark.parametrize("n_y0", [1, 3])
     def test_warm_start_of_the_wrong_length_raises(self, n_y0):

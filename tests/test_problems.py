@@ -375,6 +375,27 @@ class TestYLinearization:
                 for a, b in blocks:
                     assert np.abs(a - b).max() <= 1e-13 * np.abs(h).max()
 
+    @pytest.mark.parametrize("kind", ["leading", "scattered", "swapped"])
+    def test_logsumexp_direct_solve_matches_dense_solve(self, kind):
+        # Sherman-Morrison on diag - rank one against np.linalg.solve on the
+        # assembled block, at random points and where the block holds all but
+        # 1e-8 of the softmax weight (sigma then rests on sum w d / D)
+        p = LogSumExpProblem(15, 6)
+        part = _partitions(15, 9)[kind]
+        rng = np.random.default_rng(5)
+        points = [rng.standard_normal(15) * 0.4 for _ in range(4)]
+        t = np.log(p.a_coeffs[part.x_indices].sum() / 1e-8 / p.a_coeffs[part.y_indices].sum())
+        points.append(part.embed(np.zeros(part.n_x), t / p.b_coeffs[part.y_indices]))
+        _, w = p._softmax_weights(points[-1])
+        assert w[part.x_indices].sum() == pytest.approx(1e-8, rel=1e-6)
+        for z in points:
+            x, y = part.split(z)
+            _, h_yy = p.restrict(part).at(x).linearize(y)
+            dense = lse_dense_hessian(p, z)[np.ix_(part.y_indices, part.y_indices)]
+            for r in rng.standard_normal((3, part.n_y)):
+                expected = np.linalg.solve(dense, r)
+                assert np.linalg.norm(h_yy.solve(r) - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("x_fill, y_fill", [(0.0, 100.0), (0.0, -100.0), (80.0, 0.0)],
                              ids=["y-max-x-underflows", "x-max-y-underflows", "x-max"])
     def test_max_shift_in_either_block(self, x_fill, y_fill):
@@ -428,17 +449,20 @@ class TestYLinearization:
             xy(np.ones(7))
         assert sizes == [43, 7, 7, 7]
 
-    def test_quadratic_copies_no_submatrix_before_a_product(self, monkeypatch):
+    def test_quadratic_copies_no_submatrix_before_a_product(self):
+        # A22 and A_yx are sliced on first linearization, once per partition:
+        # views of A when both blocks are ranges, equal copies otherwise
         p = build_test_matrix(4, 6, (1, 5), (1, 20), 1e-1, seed=1)
-        copies = []
-        ix = np.ix_
-        monkeypatch.setattr(varred.problems.np, "ix_", lambda *a: copies.append(1) or ix(*a))
-        restriction = p.restrict()
-        restricted = restriction.at(np.ones(4))
-        restricted.evaluate(np.ones(6))
-        assert copies == []
-        _, h_yy = restricted.linearize(np.ones(6))
-        h_yy(np.ones(6))
-        restriction.at(np.zeros(4)).linearize(np.ones(6))
-        # A22 and A_yx, once per partition
-        assert len(copies) == 2
+        for kind, part in _partitions(10, 6).items():
+            restriction = p.restrict(part)
+            restriction.at(np.ones(part.n_x)).evaluate(np.ones(part.n_y))
+            assert "blocks" not in restriction.__dict__
+            _, h_yy = restriction.at(np.ones(part.n_x)).linearize(np.ones(part.n_y))
+            h_yy(np.ones(part.n_y))
+            blocks = restriction.blocks
+            restriction.at(np.zeros(part.n_x)).linearize(np.ones(part.n_y))
+            assert restriction.blocks is blocks
+            xi, yi = part.x_indices, part.y_indices
+            for block, dense in zip(blocks, (p.a[np.ix_(yi, yi)], p.a[np.ix_(yi, xi)])):
+                assert np.array_equal(block, dense)
+                assert np.shares_memory(block, p.a) == (kind in ("leading", "trailing")), kind
