@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"method.step_mode must be auto|optimal|armijo, got {self.step_mode!r}")
         if self.step_mode != "auto" and self.method not in ("gd", "pgd-exact"):
             raise ConfigError(f"method.step_mode applies to gd and pgd-exact only, not {self.method}")
+        if self.eliminate != "full" and self.method == "gd":
+            raise ConfigError("method.eliminate must be 'full' for gd, which eliminates nothing")
         for name in ("tol_init", "coupling_eps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -252,8 +254,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
     stop = cfg.stop_rule()
     armijo = cfg.armijo_params()
     z0 = np.full(problem.n, cfg.z0_fill)
-    x0 = z0[part.x_indices]
-    y0 = z0[part.y_indices]
+    x0, y0 = part.split(z0)
 
     status = "converged"
     record: ConvergenceRecord | None = None
@@ -287,7 +288,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
     # every record the optimizers return or attach to MaxIterReached holds row 0
     outcome = ((record.iterations, record.final.rel_grad_norm, record.final.cum_linear_solves)
                if record is not None else (0, float("nan"), 0))
-    summary = RunSummary(cfg.method, cfg.problem_label(), part.n_y, *outcome, elapsed, status)
+    n_elim = 0 if cfg.method == "gd" else part.n_y
+    summary = RunSummary(cfg.method, cfg.problem_label(), n_elim, *outcome, elapsed, status)
 
     try:
         if record is not None:
@@ -319,19 +321,19 @@ class ConditioningReport:
 
 
 def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
-    """Assemble A, its retained block and the dense Schur complement, and
-    report their spectral condition numbers.  Quadratic problems only."""
+    """Spectral condition numbers of A, of its retained block A11 and of the
+    Schur complement S, both read off the exact map.  Quadratic problems only."""
     cfg.validate()
     if cfg.kind != "quadratic":
         raise ConfigError("conditioning reports require a quadratic problem")
     if cfg.n_x + cfg.n_y > 2000:
         raise ConfigError("conditioning reports are limited to n <= 2000")
     problem, part = build_problem(cfg)
-    a11 = problem.a[np.ix_(part.x_indices, part.x_indices)]
+    elim = QuadraticExactElimination(problem, part)
     report = ConditioningReport(
         kappa_full=condition_number(problem.a),
-        kappa_retained_block=condition_number(a11),
-        kappa_schur=condition_number(QuadraticExactElimination(problem, part).s),
+        kappa_retained_block=condition_number(elim.restriction.blocks[0][0]),
+        kappa_schur=condition_number(elim.s),
         n_retained=part.n_x, n_eliminated=part.n_y)
     if report.kappa_schur > report.kappa_full * (1.0 + 1e-9):
         raise VarredError(
@@ -340,9 +342,11 @@ def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
     return report
 
 
-def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int]) -> dict[str, dict[int, RunSummary]]:
+def run_table1_sweep(cfg: ExperimentConfig,
+                     n_el_values: list[int]) -> tuple[dict[str, dict[int, RunSummary]], str]:
     """Run gd / pgd-exact / pgd-inexact from z = 0 on the log-sum-exp problem
-    for each n_el; write ``table_sweep.tsv`` of outer iterations (seconds).
+    for each n_el; write ``table_sweep.tsv`` of outer iterations (seconds) and
+    return the summaries with the table's text.
 
     The table shows GD's iterations growing with n_el while both PGD variants
     stay at a few.  With ``configs/logsumexp.ini`` (n = 1000) and n_el from 10
@@ -354,6 +358,8 @@ def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int]) -> dict[str,
     """
     if not n_el_values:
         raise ConfigError("the sweep needs at least one n_el value")
+    if len(set(n_el_values)) != len(n_el_values):
+        raise ConfigError(f"the sweep's n_el values {n_el_values} repeat a value")
     for n_el in n_el_values:
         if not 1 <= n_el < cfg.n:
             raise ConfigError(f"n_el={n_el} must lie in [1, n={cfg.n})")
@@ -366,28 +372,22 @@ def run_table1_sweep(cfg: ExperimentConfig, n_el_values: list[int]) -> dict[str,
             cell = replace(cfg, kind="logsumexp", n_el=n_el, method=method,
                            eliminate="full", step_mode="auto",
                            history=f"sweep_{method}_nel{n_el}.csv")
-            summary, _ = run_experiment(cell, quiet=True)
-            table[method][n_el] = summary
+            table[method][n_el] = run_experiment(cell, quiet=True)[0]
+
+    def shown(s: RunSummary) -> str:
+        if s.status.startswith("failed"):
+            return f"[{s.status}]"
+        return f"{s.iterations} ({s.elapsed_s:.2f})" + (" [max-iter]" if s.status == "max-iter" else "")
 
     lines = ["method\t" + "\t".join(f"n_el={v}" for v in n_el_values)]
-    for method in methods:
-        cells = []
-        for n_el in n_el_values:
-            s = table[method][n_el]
-            if s.status == "converged":
-                cells.append(f"{s.iterations} ({s.elapsed_s:.2f})")
-            elif s.status == "max-iter":
-                cells.append(f"{s.iterations} ({s.elapsed_s:.2f}) [max-iter]")
-            else:
-                cells.append(f"[{s.status}]")
-        lines.append(method + "\t" + "\t".join(cells))
+    lines += [m + "\t" + "\t".join(shown(table[m][v]) for v in n_el_values) for m in methods]
     text = "\n".join(lines) + "\n"
     try:
         with open(out_dir / "table_sweep.tsv", "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write the sweep table under {out_dir}: {exc}") from exc
-    return table
+    return table, text
 
 
 def emit_history_csv(record: ConvergenceRecord, path: str | Path) -> None:
@@ -473,9 +473,8 @@ def main(argv: list[str] | None = None) -> int:
                     values = [int(tok) for tok in args.n_el.split(",") if tok.strip()]
                 except ValueError as exc:
                     raise ConfigError(f"bad --n-el list {args.n_el!r}") from exc
-                table = run_table1_sweep(cfg, values)
-                with open(Path(cfg.out_dir) / "table_sweep.tsv", encoding="utf-8") as fh:
-                    print(fh.read(), end="")
+                table, text = run_table1_sweep(cfg, values)
+                print(text, end="")
                 return _exit_code({s.status for per in table.values() for s in per.values()})
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

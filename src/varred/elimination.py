@@ -5,20 +5,19 @@ An elimination map produces, for given retained variables x, eliminated
 variables y with (approximately) vanishing partial gradient grad_y J(x, y).
 Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y,
 the inner iterations spent on it and J(x, .) with x frozen once per solve in
-the map's :meth:`Objective.restrict`; iterative maps reach the block only
-through it and return a warm start that already meets the active tolerance
-unchanged, with zero inner iterations.  The reduced objective keeps the solve
-at its last point: it reads J, grad_x J and the inner residual
+the map's :meth:`Objective.restrict`, which checks x and slices every block a
+map reads; iterative maps return a warm start that already meets the active
+tolerance unchanged, with zero inner iterations.  The reduced objective keeps
+the solve at its last point: it reads J, grad_x J and the inner residual
 ||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and the reduced Hessian
 off its ``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J
 evaluates through S, never the full A.  It copies x once per evaluation, and
 that copy is both its cache key and the x the map freezes; a value alone, as
 at a line-search trial, forms no grad_x J until the gradient is asked for.  A
 scheduled map's ``accept`` re-solves at an accepted outer iterate on that same
-J(x, .), so each point is frozen once.  Maps carry
-warm-start state and work counters, so a map instance is confined to a single
-optimizer run; distinct instances over the same (immutable) problem may run
-concurrently.
+J(x, .), so each point is frozen once.  Maps carry warm-start state and work
+counters, so a map instance is confined to a single optimizer run; distinct
+instances over the same (immutable) problem may run concurrently.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .linalg import LinOp, as_vector, cg_solve, op_solve  # noqa: F401 (perfbench patches cg_solve here)
-from .problems import (BlockPartition, Objective, QuadraticProblem, QuadraticRestricted, Restricted,
-                       submatrix)
+from .linalg import LinOp, as_vector, op_solve, sym_matrix
+from .linalg import cg_solve  # noqa: F401 (perfbench patches cg_solve here)
+from .problems import BlockPartition, Objective, QuadraticProblem, Restricted
 
 
 @dataclass
@@ -54,7 +53,7 @@ class EliminationResult:
     restricted: Restricted  # J(x, .) at the solve's x
 
 
-class CondensedRestricted(QuadraticRestricted):
+class CondensedRestricted(Restricted):
     """J(x, .) of a :class:`QuadraticExactElimination` ``elim``.  ``evaluate``
     holds at y = h(x) only, the one y the reduced objective passes: it is
     (J~, S x - b~, 0) in O(n_x^2), and the full A is never touched."""
@@ -83,24 +82,19 @@ class QuadraticExactElimination:
     def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
         self.partition = partition or problem.partition
         self.restriction = problem.restrict(self.partition)
-        a22, a_yx, b_y = self.restriction.blocks
+        (a11, a_xy, b_x), (a22, a_yx, b_y) = self.restriction.blocks
         w_u = np.linalg.solve(a22, np.column_stack([a_yx, b_y]))
         self.w, self.u = w_u[:, :-1], w_u[:, -1]
-        a, xk, yk = problem.a, self.partition.x_key, self.partition.y_key
-        a_xy = submatrix(a, xk, yk)  # its own slice: A_yx.T gives other rounding in the products
-        s = submatrix(a, xk, xk) - a_xy @ self.w
-        self.s = 0.5 * (s + s.T)
-        self.b_tilde = problem.b[xk] - a_xy @ self.u
+        self.s = sym_matrix(a11 - a_xy @ self.w)
+        self.b_tilde = b_x - a_xy @ self.u
         self.c_tilde = problem.c - 0.5 * float(b_y @ self.u)
         self.counters = WorkCounters()
 
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
         """y = u - W x, with J(x, .) evaluated through the condensation."""
-        x = as_vector(x)
-        if x.size != self.partition.n_x:
-            raise DimensionMismatch("x has the wrong length for this partition")
-        return EliminationResult(self.u - self.w @ x, 0, CondensedRestricted(self, x))
+        restricted = CondensedRestricted(self, x)
+        return EliminationResult(self.u - self.w @ restricted.x, 0, restricted)
 
     def schur_hvp(self, v: np.ndarray) -> np.ndarray:
         """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
@@ -134,13 +128,11 @@ class NewtonElimination:
     def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
               tol: float | None = None) -> EliminationResult:
         """:meth:`solve_frozen` on J(x, .), from ``y0`` or the last solve's y."""
-        x = as_vector(x)
-        if x.size != self.partition.n_x:
-            raise DimensionMismatch("x has the wrong length for this partition")
+        restricted = self.restriction.at(x)
         y = (self._warm if y0 is None else as_vector(y0)).copy()
         if y.size != self.partition.n_y:
             raise DimensionMismatch("y0 has the wrong length for this partition")
-        return self.solve_frozen(self.restriction.at(x), y, self.inner_tol if tol is None else tol)
+        return self.solve_frozen(restricted, y, self.inner_tol if tol is None else tol)
 
     def solve_frozen(self, restricted: Restricted, y: np.ndarray, tol: float) -> EliminationResult:
         """The Newton loop on a given J(x, .) from ``y``, which it does not modify."""
@@ -262,7 +254,7 @@ class ReducedObjective:
         self._cache: list | None = None
 
     def _ensure(self, x: np.ndarray, gradient: bool = False) -> list:
-        # a cache hit needs no validation: the map's solve checked the cached x
+        # a cache hit needs no check: the restriction checked x when the map froze it
         entry = self._cache
         if entry is None or not np.array_equal(entry[0], x):
             entry = self._cache = None  # free the old restriction before the solve makes one

@@ -6,15 +6,17 @@ exposing values, gradients and Hessian-vector products.  A
 eliminated variables y.  :meth:`Objective.restrict` gives J on the y block
 with x frozen once, by default through the full evaluation, so any objective
 with a Hessian-vector product supports elimination.  It is the one place that
-forms J's Hessian blocks at (x, y): the y block for the inner Newton solve and
-the x-block products for the reduced Hessian.  Both problems here make the
-work of an inner Newton iterate depend on n_y alone; log-sum-exp solves its y
-block directly and makes an x-block product O(n) with no ``exp``.  Its
-restriction writes every x-block vector it returns in place, so a product or
-an evaluation makes that one array, and ``evaluate(y, grad_x=False)`` makes
-none.  A quadratic stores its validated A read-only and, until it stores
-another, refers to it weakly: a problem built on that very array shares it and
-repeats no check; its blocks of a range partition are views of A.
+checks a frozen x, slices the objective's data to a partition's blocks and
+forms J's Hessian blocks at (x, y), the y block for the inner Newton solve and
+the x-block products for the reduced Hessian; other layers read what it
+formed.  Both problems here make the work of an inner Newton iterate depend on
+n_y alone; log-sum-exp solves its y block directly and makes an x-block
+product O(n) with no ``exp``.  Its restriction writes every x-block vector it
+returns in place, so a product or an evaluation makes that one array, and
+``evaluate(y, grad_x=False)`` makes none.  A quadratic stores its validated A
+read-only and, until it stores another, refers to it weakly: a problem built
+on that very array shares it and repeats no check; its blocks of a range
+partition are views of A.
 """
 
 from __future__ import annotations
@@ -124,34 +126,35 @@ class Restricted:
     work before their first call."""
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
+        x = as_vector(x)
+        if x.size != restriction.part.n_x:
+            raise DimensionMismatch("x has the wrong length for this partition")
         self.restriction, self.x = restriction, x
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
         obj, part = self.restriction.objective, self.restriction.part
-        z, yi = part.embed(self.x, y), part.y_indices
-        op = LinOp(dim=yi.size, apply=lambda v: obj.hessian_vec(z, part.lift_y(v))[yi])
-        return obj.gradient(z)[yi], op
+        z, yk = part.embed(self.x, y), part.y_key
+        op = LinOp(dim=part.n_y, apply=lambda v: obj.hessian_vec(z, part.lift_y(v))[yk])
+        return obj.gradient(z)[yk], op
 
     def x_products(self, y: np.ndarray):
         """(v -> (grad_xx J v, grad_yx J v), w -> grad_xy J w)."""
         obj, part = self.restriction.objective, self.restriction.part
-        z, xi, yi = part.embed(self.x, y), part.x_indices, part.y_indices
-
-        def along_x(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            hv = obj.hessian_vec(z, part.lift_x(v))
-            return hv[xi], hv[yi]
-        return along_x, lambda w: obj.hessian_vec(z, part.lift_y(w))[xi]
+        z = part.embed(self.x, y)
+        return (lambda v: part.split(obj.hessian_vec(z, part.lift_x(v))),
+                lambda w: obj.hessian_vec(z, part.lift_y(w))[part.x_key])
 
     def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
         part = self.restriction.part
         val, g = self.restriction.objective.evaluate(part.embed(self.x, y))
-        return val, g[part.x_indices], g[part.y_indices]
+        return (val, *part.split(g))
 
 
 class Restriction:
     """J on the eliminated block of one partition, made once per partition by
-    :meth:`Objective.restrict`; ``at(x)`` freezes x.  ``blocks`` is what the
-    objective's frozen J slices of the partition, made on first use."""
+    :meth:`Objective.restrict`; ``at(x)`` checks and freezes x.  ``blocks``
+    is the objective's data sliced to the partition, (x side, y side), made
+    on first use."""
 
     def __init__(self, objective: Objective, part: BlockPartition):
         self.objective, self.part = objective, part
@@ -214,17 +217,19 @@ class QuadraticRestricted(Restricted):
 
     @staticmethod
     def blocks(objective: QuadraticProblem, part: BlockPartition):
-        """A22, A_yx and b_y, views if a range."""
-        a, xk, yk = objective.a, part.x_key, part.y_key
-        return submatrix(a, yk, yk), submatrix(a, yk, xk), objective.b[yk]
+        """(A_xx, A_xy, b_x) and (A22, A_yx, b_y), views if ranges.  A_xy is
+        its own slice: A_yx.T gives other rounding in the products."""
+        a, b, xk, yk = objective.a, objective.b, part.x_key, part.y_key
+        return ((submatrix(a, xk, xk), submatrix(a, xk, yk), b[xk]),
+                (submatrix(a, yk, yk), submatrix(a, yk, xk), b[yk]))
 
     @functools.cached_property
     def r(self) -> np.ndarray:
-        _, a_yx, b_y = self.restriction.blocks
+        _, a_yx, b_y = self.restriction.blocks[1]
         return a_yx @ self.x - b_y
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
-        a22 = self.restriction.blocks[0]
+        a22 = self.restriction.blocks[1][0]
         return a22 @ y + self.r, LinOp.from_matrix(a22)
 
 
@@ -279,15 +284,15 @@ class LogSumExpRestricted(Restricted):
     def __init__(self, restriction: Restriction, x: np.ndarray):
         super().__init__(restriction, x)
         (a_x, self.b_x, self.d_x), (self.a_y, self.b_y, self.d_y) = restriction.blocks
-        e = self.b_x * x
+        e = self.b_x * self.x
         self.m_x = float(e.max())
         e -= self.m_x
         np.exp(e, out=e)
         e *= a_x
         self.s_x = float(e.sum())
         e *= self.b_x
-        self.be_x, self.dx = e, self.d_x * x
-        self.xdx = float(x @ self.dx)
+        self.be_x, self.dx = e, self.d_x * self.x
+        self.xdx = float(self.x @ self.dx)
 
     def _softmax(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
         """(log of the partition sum, the softmax weights w_y, the x-block weight scale)."""

@@ -28,11 +28,17 @@ def lse_with_coefficients(a_coeffs, b_coeffs, d_diag) -> LogSumExpProblem:
 
 
 def lse_dense_hessian(p: LogSumExpProblem, z: np.ndarray) -> np.ndarray:
-    """diag(b g) - g g' + D with g = b softmax, assembled."""
+    """diag(b g) - g g' + D with g = b w, w = softmax, assembled.  Its diagonal
+    is b^2 w (1 - w) + d with each 1 - w_i summed from the other weights, so it
+    does not cancel where one weight is near 1."""
     t = p.b_coeffs * z
     e = p.a_coeffs * np.exp(t - t.max())
-    g = p.b_coeffs * (e / e.sum())
-    return np.diag(p.b_coeffs * g) - np.outer(g, g) + np.diag(p.d_diag)
+    w = e / e.sum()
+    g = p.b_coeffs * w
+    h = -np.outer(g, g)
+    others = np.where(np.eye(w.size, dtype=bool), 0.0, w).sum(axis=1)
+    np.fill_diagonal(h, p.b_coeffs * g * others + p.d_diag)
+    return h
 
 
 def lse_minimizer(p: LogSumExpProblem) -> np.ndarray:

@@ -137,7 +137,7 @@ def test_criterion_5_table1_sweep(tmp_path):
     cfg = ExperimentConfig(kind="logsumexp", n=1000, out_dir=str(tmp_path),
                            max_iter=20000)
     values = [10, 50, 200, 400]
-    table = run_table1_sweep(cfg, values)
+    table, _ = run_table1_sweep(cfg, values)
     ok = True
     for n_el in values:
         gd = table["gd"][n_el]

@@ -205,6 +205,8 @@ class TestRunExperiment:
         summary, _ = run_experiment(small_cfg, quiet=True)
         assert summary.status == "converged"
         assert summary.final_rel_grad <= small_cfg.rel_grad_tol
+        # gd runs in the full space and eliminates nothing
+        assert summary.n_elim == (0 if method == "gd" else small_cfg.n_y)
 
     def test_partial_scope_runs(self, small_cfg):
         small_cfg.eliminate = "last:3"
@@ -244,10 +246,11 @@ class TestSweep:
     def test_labels_and_cells(self, tmp_path):
         cfg = ExperimentConfig(kind="logsumexp", n=60, n_el=4,
                                out_dir=str(tmp_path), max_iter=20000)
-        table = run_table1_sweep(cfg, [4, 8])
+        table, text = run_table1_sweep(cfg, [4, 8])
         assert set(table.keys()) == {"gd", "pgd-exact", "pgd-inexact"}
         assert set(table["gd"].keys()) == {4, 8}
-        text = (tmp_path / "table_sweep.tsv").read_text().splitlines()
+        assert (tmp_path / "table_sweep.tsv").read_text() == text
+        text = text.splitlines()
         assert text[0] == "method\tn_el=4\tn_el=8"
         assert [line.split("\t")[0] for line in text[1:]] == ["gd", "pgd-exact", "pgd-inexact"]
         for method in table:
@@ -304,6 +307,7 @@ class TestCLI:
         "scope beyond the block": "[problem]\nn_y = 60\n[method]\neliminate = last:100\n",
         "scope last:x": "[method]\neliminate = last:x\n",
         "scope last:0": "[method]\neliminate = last:0\n",
+        "gd with a scope": "[method]\nname = gd\neliminate = last:3\n",
         # configparser's message spans three lines
         "no section header": "n_x = 4\n",
         "empty block": "[problem]\nn_x = 0\n",
@@ -478,7 +482,7 @@ dir = {out}
         assert all(cell.startswith("[failed: inner Newton damping failed at residual ")
                    for cell in rows["pgd-exact"])
 
-    @pytest.mark.parametrize("n_el", ["4,x", "4.5", ","])
+    @pytest.mark.parametrize("n_el", ["4,x", "4.5", ",", "4,8,4"])
     def test_bad_n_el_list_exit_three(self, tmp_path, capsys, n_el):
         path = tmp_path / "cfg.ini"
         path.write_text("[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"

@@ -17,7 +17,7 @@ from varred.elimination import (
     ScheduledInexactElimination,
     exact_map,
 )
-from varred.errors import DimensionMismatch, NonConvergence
+from varred.errors import DimensionMismatch, NonConvergence, NonFinite
 from varred.linalg import LinOp, sym_matrix
 from varred.optimizers import StopRule, gradient_descent, pgd_inexact
 from varred.problems import (
@@ -301,6 +301,22 @@ class TestNewtonElimination:
         with pytest.raises(DimensionMismatch, match="y0"):
             pgd_inexact(p, p.partition, ScheduledInexactElimination(NewtonElimination(p)),
                         np.zeros(56), y0, StopRule(1e-6, 300))
+
+    @pytest.mark.parametrize("x, error, message", [
+        (np.zeros(3), DimensionMismatch, "x has the wrong length"),
+        (np.array([0.0, np.nan]), NonFinite, "non-finite"),
+    ], ids=["wrong length", "non-finite"])
+    def test_a_bad_x_raises_the_restrictions_error(self, x, error, message):
+        # the restriction checks x where it freezes J(x, .); the maps and the
+        # reduced objective reach that check through it, on both problems
+        quadratic, lse = build_test_matrix(2, 3, (1, 2), (1, 6), 1e-1, seed=5), LogSumExpProblem(6, 4)
+        calls = [p.restrict().at for p in (quadratic, lse)]
+        calls += [QuadraticExactElimination(quadratic).solve,
+                  NewtonElimination(quadratic).solve, NewtonElimination(lse).solve]
+        calls += [ReducedObjective(p).value for p in (quadratic, lse)]
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call(x)
 
 
 class TestNewtonLinearization:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.bench_cli
 import varred.problems
+from varred.bench_cli import ExperimentConfig, conditioning_report
+from varred.elimination import QuadraticExactElimination
 from varred.errors import DimensionMismatch, NonFinite, NotSPD
 from varred.linalg import condition_number, spd_check
 from varred.problems import (
@@ -356,14 +359,17 @@ class TestYLinearization:
         full = (val, g[part.x_indices], g[part.y_indices], g[part.y_indices])
         h = dense_hessian(p, z)
         dense = h[np.ix_(part.y_indices, part.y_indices)]
+        h_full = np.column_stack([p.hessian_vec(z, e) for e in np.eye(15)])
+        assert np.abs(h_full - h).max() <= 1e-13 * np.abs(h).max()
         # the problem's own restriction, and the generic route through the
-        # full evaluation and Hessian product, which is exact
+        # full evaluation and Hessian product, which is exact: its blocks are
+        # those of the full product's columns, bit for bit
         for restricted, exact in ((p.restrict(part).at(x), False),
                                   (Restricted(p.restrict(part), x), True)):
             g_y, h_yy = restricted.linearize(y)
             np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
             got = (*restricted.evaluate(y), g_y)
-            blocks = zip(_x_blocks(restricted, part, y), _dense_x_blocks(h, part))
+            blocks = zip(_x_blocks(restricted, part, y), _dense_x_blocks(h_full if exact else h, part))
             if exact:
                 assert got[0] == val
                 assert all(np.array_equal(a, b) for a, b in zip(got[1:], full[1:]))
@@ -378,8 +384,9 @@ class TestYLinearization:
     @pytest.mark.parametrize("kind", ["leading", "scattered", "swapped"])
     def test_logsumexp_direct_solve_matches_dense_solve(self, kind):
         # Sherman-Morrison on diag - rank one against np.linalg.solve on the
-        # assembled block, at random points and where the block holds all but
-        # 1e-8 of the softmax weight (sigma then rests on sum w d / D)
+        # assembled block, at random points, where the block holds all but
+        # 1e-8 of the softmax weight (sigma then rests on sum w d / D), and
+        # where one y weight is 1 - 5e-7 (the oracle's diagonal must not cancel)
         p = LogSumExpProblem(15, 6)
         part = _partitions(15, 9)[kind]
         rng = np.random.default_rng(5)
@@ -388,6 +395,10 @@ class TestYLinearization:
         points.append(part.embed(np.zeros(part.n_x), t / p.b_coeffs[part.y_indices]))
         _, w = p._softmax_weights(points[-1])
         assert w[part.x_indices].sum() == pytest.approx(1e-8, rel=1e-6)
+        j, a = part.y_indices[0], p.a_coeffs
+        points.append(np.zeros(15))
+        points[-1][j] = np.log((a.sum() - a[j]) / a[j] * (1 - 5e-7) / 5e-7) / p.b_coeffs[j]
+        assert p._softmax_weights(points[-1])[1][j] >= 1 - 1e-6
         for z in points:
             x, y = part.split(z)
             _, h_yy = p.restrict(part).at(x).linearize(y)
@@ -449,9 +460,10 @@ class TestYLinearization:
             xy(np.ones(7))
         assert sizes == [43, 7, 7, 7]
 
-    def test_quadratic_copies_no_submatrix_before_a_product(self):
-        # A22 and A_yx are sliced on first linearization, once per partition:
-        # views of A when both blocks are ranges, equal copies otherwise
+    def test_quadratic_copies_no_submatrix_before_a_product(self, monkeypatch):
+        # (A_xx, A_xy, b_x) and (A22, A_yx, b_y) are sliced on first
+        # linearization, once per partition: views of A and b when both blocks
+        # are ranges, equal copies otherwise; the exact map reads the same blocks
         p = build_test_matrix(4, 6, (1, 5), (1, 20), 1e-1, seed=1)
         for kind, part in _partitions(10, 6).items():
             restriction = p.restrict(part)
@@ -463,6 +475,16 @@ class TestYLinearization:
             restriction.at(np.zeros(part.n_x)).linearize(np.ones(part.n_y))
             assert restriction.blocks is blocks
             xi, yi = part.x_indices, part.y_indices
-            for block, dense in zip(blocks, (p.a[np.ix_(yi, yi)], p.a[np.ix_(yi, xi)])):
-                assert np.array_equal(block, dense)
-                assert np.shares_memory(block, p.a) == (kind in ("leading", "trailing")), kind
+            dense = ((p.a[np.ix_(xi, xi)], p.a[np.ix_(xi, yi)], p.b[xi]),
+                     (p.a[np.ix_(yi, yi)], p.a[np.ix_(yi, xi)], p.b[yi]))
+            for formed in (blocks, QuadraticExactElimination(p, part).restriction.blocks):
+                for block, expected in zip(formed[0] + formed[1], dense[0] + dense[1]):
+                    assert np.array_equal(block, expected)
+                    assert np.shares_memory(block, (p.a, p.b)[block.ndim == 1]) == (
+                        kind in ("leading", "trailing")), kind
+        # the conditioning report's A11 is the exact map's block: a view of A
+        seen, cond = [], varred.bench_cli.condition_number
+        monkeypatch.setattr(varred.bench_cli, "condition_number", lambda m: seen.append(m) or cond(m))
+        conditioning_report(ExperimentConfig(n_x=4, n_y=6, eliminate="last:3"))
+        a, a11 = seen[:2]
+        assert np.array_equal(a11, a[:7, :7]) and np.shares_memory(a11, a)
