@@ -3,21 +3,22 @@ objective J~(x) = J(x, h(x)).
 
 An elimination map produces, for given retained variables x, eliminated
 variables y with (approximately) vanishing partial gradient grad_y J(x, y).
-Every map has a ``partition``, ``counters`` and ``solve(x)``, which returns y,
-the inner iterations spent on it and J(x, .) with x frozen once per solve in
-the map's :meth:`Objective.restrict`, which checks x and slices every block a
-map reads; iterative maps return a warm start that already meets the active
-tolerance unchanged, with zero inner iterations.  The reduced objective keeps
-the solve at its last point: it reads J, grad_x J and the inner residual
-||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and the reduced Hessian
-off its ``linearize(y)`` and ``x_products(y)``; the exact quadratic map's J
-evaluates through S, never the full A.  It copies x once per evaluation, and
-that copy is both its cache key and the x the map freezes; a value alone, as
-at a line-search trial, forms no grad_x J until the gradient is asked for.  A
-scheduled map's ``accept`` re-solves at an accepted outer iterate on that same
-J(x, .), so each point is frozen once.  Maps carry warm-start state and work
-counters, so a map instance is confined to a single optimizer run; distinct
-instances over the same (immutable) problem may run concurrently.
+Every map has a ``partition``, its ``restriction`` of the objective,
+``counters`` and ``solve(x)``, which returns y, the inner iterations spent on
+it and J(x, .) with x frozen once per solve in that restriction, which checks
+x and slices every block a map reads; iterative maps return a warm start that
+already meets the active tolerance unchanged, with zero inner iterations.  The
+reduced objective keeps the solve at its last point: it reads J, grad_x J and
+the inner residual ||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and
+the reduced Hessian off its ``linearize(y)`` and ``x_products(y)``; the exact
+quadratic map's J evaluates through S, never the full A.  It copies x once per
+evaluation, and that copy is both its cache key and the x the map freezes; a
+value alone, as at a line-search trial, forms no grad_x J until the gradient
+is asked for.  A scheduled map's ``accept`` re-solves at an accepted outer
+iterate on that same J(x, .), so each point is frozen once.  Maps carry
+warm-start state and work counters, so a map instance is confined to a single
+optimizer run; distinct instances over the same (immutable) problem may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class WorkCounters:
     inner_iterations: int = 0
     linear_solves: int = 0
 
+    # no library caller: perfbench/workloads.py reads it
     def snapshot(self) -> tuple[int, int]:
         return self.inner_iterations, self.linear_solves
 
@@ -76,7 +78,7 @@ class QuadraticExactElimination:
     complement S = A11 - A12 W (symmetrised), b~ = b1 - A12 u and
     c~ = c - b2'u / 2.  Then h(x) = u - W x, a Schur product is S v, and
     J~(x) = x'(S x - 2 b~) / 2 + c~ costs O(n_x^2).  The map does no
-    iterative work, so its counters stay at zero; ``y0`` and ``tol`` are ignored.
+    iterative work, so its counters stay at zero; ``y0`` is ignored.
     """
 
     def __init__(self, problem: QuadraticProblem, partition: BlockPartition | None = None):
@@ -90,15 +92,10 @@ class QuadraticExactElimination:
         self.c_tilde = problem.c - 0.5 * float(b_y @ self.u)
         self.counters = WorkCounters()
 
-    def solve(self, x: np.ndarray, y0: np.ndarray | None = None,
-              tol: float | None = None) -> EliminationResult:
+    def solve(self, x: np.ndarray, y0: np.ndarray | None = None) -> EliminationResult:
         """y = u - W x, with J(x, .) evaluated through the condensation."""
         restricted = CondensedRestricted(self, x)
         return EliminationResult(self.u - self.w @ restricted.x, 0, restricted)
-
-    def schur_hvp(self, v: np.ndarray) -> np.ndarray:
-        """Schur complement product S v = A11 v - A12 A22^{-1} A21 v."""
-        return self.s @ as_vector(v)
 
 
 class NewtonElimination:
@@ -118,7 +115,6 @@ class NewtonElimination:
 
     def __init__(self, objective: Objective, partition: BlockPartition | None = None,
                  inner_tol: float = 1e-10):
-        self.objective = objective
         self.partition = partition or objective.partition
         self.inner_tol = inner_tol
         self.restriction = objective.restrict(self.partition)
@@ -185,6 +181,7 @@ class ScheduledInexactElimination:
                  rho: float = 0.5):
         self.check_rho(rho)
         self.inner, self.partition, self.counters = inner, inner.partition, inner.counters
+        self.restriction = inner.restriction
         self.tol_init, self.rho = tol_init, rho
         self.reset(np.zeros(self.partition.n_y), inner.inner_tol)
 
@@ -228,7 +225,8 @@ def exact_map(objective: Objective, partition: BlockPartition,
 class ReducedObjective:
     """J~(x) = J(x, h(x)) with gradient grad_x J(x, h(x)); the one place that
     knows how the reduced objective is evaluated, through any map of this
-    module (``elim``; :func:`exact_map` by default), on the map's partition.
+    module built on ``objective`` (``elim``; :func:`exact_map` by default), on
+    the map's partition.
 
     For exact maps the gradient is the true gradient of J~ (the cross term
     vanishes because grad_y J(x, h(x)) = 0); for inexact maps it is the
@@ -247,6 +245,8 @@ class ReducedObjective:
                 np.array_equal(partition.x_indices, elim.partition.x_indices)
                 and np.array_equal(partition.y_indices, elim.partition.y_indices)):
             raise DimensionMismatch("the partition differs from the elimination map's")
+        if elim.restriction.objective is not objective:
+            raise ValueError("the elimination map is built on another objective")
         self.elim, self.partition, self.counters = elim, elim.partition, elim.counters
         self.n = self.partition.n_x
         # [x, the map's solve at x, J~(x), grad J~(x) or None until asked for,
@@ -293,8 +293,9 @@ class ReducedObjective:
         self._cache = self._evaluated(result, False) if changed else entry
         return changed
 
+    # no library caller: perfbench/tracing.py traces it (exact quadratic maps only)
     def hvp(self, v: np.ndarray) -> np.ndarray:
-        return self.elim.schur_hvp(v)
+        return self.elim.s @ as_vector(v)
 
     def hessian_op(self, x: np.ndarray) -> LinOp:
         """Reduced Hessian at x as an operator: the assembled Schur complement
@@ -305,7 +306,7 @@ class ReducedObjective:
         with one y-block :func:`op_solve` (CG at relative tolerance 1e-12 unless
         direct) per product; every block comes from the cached J(x, .)."""
         if isinstance(self.elim, QuadraticExactElimination):
-            return LinOp(dim=self.n, apply=self.elim.schur_hvp)
+            return LinOp.from_matrix(self.elim.s)
         result = self._ensure(x)[1]
         h_yy = result.restricted.linearize(result.y)[1]
         along_x, xy = result.restricted.x_products(result.y)

@@ -96,19 +96,10 @@ class BlockPartition:
         return z[self.x_key], z[self.y_key]
 
     def embed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """z with x in the retained block and y in the eliminated one; a scalar fills its block."""
         z = np.empty(self.n)
         z[self.x_key] = x
         z[self.y_key] = y
-        return z
-
-    def lift_x(self, v: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.n)
-        z[self.x_key] = v
-        return z
-
-    def lift_y(self, w: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.n)
-        z[self.y_key] = w
         return z
 
 
@@ -134,15 +125,15 @@ class Restricted:
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
         obj, part = self.restriction.objective, self.restriction.part
         z, yk = part.embed(self.x, y), part.y_key
-        op = LinOp(dim=part.n_y, apply=lambda v: obj.hessian_vec(z, part.lift_y(v))[yk])
+        op = LinOp(dim=part.n_y, apply=lambda v: obj.hessian_vec(z, part.embed(0.0, v))[yk])
         return obj.gradient(z)[yk], op
 
     def x_products(self, y: np.ndarray):
         """(v -> (grad_xx J v, grad_yx J v), w -> grad_xy J w)."""
         obj, part = self.restriction.objective, self.restriction.part
         z = part.embed(self.x, y)
-        return (lambda v: part.split(obj.hessian_vec(z, part.lift_x(v))),
-                lambda w: obj.hessian_vec(z, part.lift_y(w))[part.x_key])
+        return (lambda v: part.split(obj.hessian_vec(z, part.embed(v, 0.0))),
+                lambda w: obj.hessian_vec(z, part.embed(0.0, w))[part.x_key])
 
     def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
         part = self.restriction.part

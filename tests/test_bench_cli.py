@@ -274,6 +274,10 @@ class TestCLI:
         path.write_text(SMALL_QUADRATIC)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_config_runs(self, path, tmp_path):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+
     def test_method_override_wins(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text(SMALL_QUADRATIC)

@@ -83,6 +83,7 @@ class TestQuadraticExactElimination:
         # the counters count iterative work only, and the direct map does none
         p = build_test_matrix(3, 4, (1, 2), (1, 6), 1e-1, seed=5)
         elim = QuadraticExactElimination(p)
+        reduced = ReducedObjective(p, elim=elim)
         z_star = np.linalg.solve(p.a, p.b)
         np.testing.assert_allclose(elim.solve(z_star[:3]).y, z_star[3:], rtol=1e-12)
         rng = np.random.default_rng(2)
@@ -91,7 +92,7 @@ class TestQuadraticExactElimination:
             res = elim.solve(x)
             y_oracle = np.linalg.solve(p.a[3:, 3:], p.b[3:] - p.a[3:, :3] @ x)
             np.testing.assert_allclose(res.y, y_oracle, rtol=1e-12, atol=1e-14)
-            elim.schur_hvp(x)
+            reduced.hessian_vec(x, x)
             assert res.inner_iterations == 0
         assert elim.counters.snapshot() == (0, 0)
 
@@ -157,7 +158,6 @@ class TestQuadraticExactElimination:
         try:
             elim = QuadraticExactElimination(p)
             elim.solve(np.ones(3))
-            elim.schur_hvp(np.ones(3))
             newton = NewtonElimination(lse)
             restricted = newton.solve(np.zeros(56)).restricted
             reduced = ReducedObjective(lse, lse.partition, NewtonElimination(lse))
@@ -518,6 +518,15 @@ class TestReducedObjective:
         h_xx = lse_dense_hessian(p, part.embed(x, reduced.eliminated_point(x)))[:56, :56]
         assert reduced.curvature_along(x, d) == pytest.approx(d @ h_xx @ d / 56, rel=1e-13)
 
+    def test_map_on_another_objective_raises(self):
+        p1, p2 = build_test_matrix(4, 6, seed=1), build_test_matrix(4, 6, seed=2)
+        with pytest.raises(ValueError, match="another objective"):
+            ReducedObjective(p1, p1.partition, exact_map(p2, p1.partition))
+        lse1, lse2 = LogSumExpProblem(60, 4), LogSumExpProblem(60, 4)
+        sched = ScheduledInexactElimination(NewtonElimination(lse2))
+        with pytest.raises(ValueError, match="another objective"):
+            pgd_inexact(lse1, lse1.partition, sched, np.zeros(56), np.zeros(4), StopRule(1e-6, 100))
+
     def test_curvature_along_a_zero_direction_raises(self):
         lse = LogSumExpProblem(60, 4)
         for obj, elim in ((build_test_matrix(3, 4, seed=2), None), (lse, NewtonElimination(lse))):
@@ -529,10 +538,10 @@ class TestReducedObjective:
         p = build_test_matrix(3, 4, (1, 5), (1, 9), 0.0, seed=13)
         reduced = ReducedObjective(p)
         v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(reduced.hvp(v), p.a[:3, :3] @ v, atol=1e-10)
+        np.testing.assert_allclose(reduced.hessian_vec(np.zeros(3), v), p.a[:3, :3] @ v, atol=1e-10)
         # scalar case: S = 2 - 1*(1/2)*1 = 1.5, S*2 = 3
         r2 = ReducedObjective(two_by_two_problem())
-        assert r2.hvp(np.array([2.0]))[0] == pytest.approx(3.0, abs=1e-10)
+        assert r2.hessian_vec(np.zeros(1), np.array([2.0]))[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_hvp_matches_dense_schur(self):
         p = build_test_matrix(6, 8, (1, 5), (1, 25), 1e-1, seed=14)
@@ -542,7 +551,7 @@ class TestReducedObjective:
         rng = np.random.default_rng(5)
         for _ in range(4):
             v = rng.standard_normal(6)
-            assert np.linalg.norm(reduced.hvp(v) - s @ v) <= 1e-8
+            assert np.linalg.norm(reduced.hessian_vec(np.zeros(6), v) - s @ v) <= 1e-8
 
     def test_reduced_hessian_from_gradient_differences(self):
         # finite differences of the reduced gradient reproduce dense S
@@ -571,7 +580,7 @@ class TestReducedObjective:
         assert len(solved) == 1
         reduced.gradient(np.zeros(3))
         assert len(solved) == 2
-        reduced.hvp(np.ones(3))  # the assembled Schur complement: no evaluation of h
+        reduced.hessian_vec(x1, np.ones(3))  # the assembled Schur complement: no evaluation of h
         assert len(solved) == 2
         # the direct map does no iterative work, so none is counted
         assert elim.counters.snapshot() == (0, 0)
