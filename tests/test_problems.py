@@ -77,16 +77,18 @@ class TestBlockPartition:
         x, y = p.split(z)
         assert np.array_equal(p.embed(x, y), z)
         assert np.array_equal(p.swapped().x_indices, p.y_indices)
-        # a scalar fills its block
-        q = BlockPartition(4, [0, 3], [1, 2])
-        assert np.array_equal(q.embed(np.array([5.0, 6.0]), 0.0), [5.0, 0.0, 0.0, 6.0])
-        assert np.array_equal(q.embed(0.0, np.array([7.0, 8.0])), [0.0, 7.0, 8.0, 0.0])
 
     def test_shrink_eliminated(self):
         p = BlockPartition.eliminate_trailing(10, 6)
         q = p.shrink_eliminated(2)
         assert q.n_y == 2 and list(q.y_indices) == [8, 9]
         assert sorted(q.x_indices) == [0, 1, 2, 3, 4, 5, 6, 7]
+
+    def test_lift(self):
+        # a scalar fills its block, so embed lifts one block into R^n
+        p = BlockPartition(4, [0, 3], [1, 2])
+        assert np.array_equal(p.embed(np.array([5.0, 6.0]), 0.0), [5.0, 0.0, 0.0, 6.0])
+        assert np.array_equal(p.embed(0.0, np.array([7.0, 8.0])), [0.0, 7.0, 8.0, 0.0])
 
 
 class TestBuildTestMatrix:
