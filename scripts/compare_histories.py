@@ -3,12 +3,14 @@
 
     python scripts/compare_histories.py OLD NEW
 
-Every CSV under OLD must sit at the same relative path under NEW, with the
-history header of ``varred run`` and as many rows.  ``iter``, ``inner_iters``
-and ``cum_linear_solves`` must be equal.  For ``fval``, ``grad_norm``,
-``rel_grad_norm`` and ``step`` the largest absolute and relative differences
-are printed with the rows where they occur; ``elapsed_s`` is ignored.  Exits
-0 only when every compared column is identical, and 1 otherwise.
+Every CSV under either tree must sit at the same relative path under the
+other, with the history header of ``varred run`` and as many rows; one that
+does not is reported missing under OLD or under NEW.  ``iter``,
+``inner_iters`` and ``cum_linear_solves`` must be equal.  For ``fval``,
+``grad_norm``, ``rel_grad_norm`` and ``step`` the largest absolute and
+relative differences are printed with the rows where they occur;
+``elapsed_s`` is ignored.  Exits 0 only when every compared column is
+identical, and 1 otherwise.
 """
 
 import argparse
@@ -49,9 +51,10 @@ def _float_diffs(old: list[str], new: list[str]) -> tuple[float, int, float, int
 
 def compare(old_path: Path, new_path: Path, name: str) -> bool:
     """Print how one pair of histories differs; True when they match."""
-    if not new_path.is_file():
-        print(f"{name}: missing under NEW")
-        return False
+    for label, path in (("OLD", old_path), ("NEW", new_path)):
+        if not path.is_file():
+            print(f"{name}: missing under {label}")
+            return False
     (old_header, old_rows), (new_header, new_rows) = _read(old_path), _read(new_path)
     for label, header in (("OLD", old_header), ("NEW", new_header)):
         if header != CSV_HEADER:
@@ -86,9 +89,9 @@ def main() -> int:
     ap.add_argument("new", type=Path, help="directory of histories to check")
     args = ap.parse_args()
 
-    names = sorted(p.relative_to(args.old) for p in args.old.rglob("*.csv"))
+    names = sorted({p.relative_to(root) for root in (args.old, args.new) for p in root.rglob("*.csv")})
     if not names:
-        print(f"no CSV under {args.old}")
+        print(f"no CSV under {args.old} or {args.new}")
         return 1
     results = [compare(args.old / n, args.new / n, str(n)) for n in names]
     print(f"{sum(results)} of {len(results)} histories identical")

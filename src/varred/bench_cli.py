@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -92,7 +93,7 @@ class ExperimentConfig:
     tol_init: float = _setting("inexact", 1e-3)
     rho: float = _setting("inexact", 0.5)
     out_dir: str = _setting("output", "runs", key="dir")
-    history: str = _setting("output", "")  # default name derived from method and problem
+    history: str = _setting("output", "")  # default: method, problem label and scope
     log: str = _setting("output", "runs.log")
 
     def validate(self) -> "ExperimentConfig":
@@ -293,8 +294,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
 
     try:
         if record is not None:
-            name = cfg.history or f"{cfg.method}_{cfg.kind}_seed{cfg.seed}.csv"
-            emit_history_csv(record, out_dir / name)
+            stem = re.sub(r"[^A-Za-z0-9-]+", "_", f"{cfg.method}_{cfg.problem_label()}_{cfg.eliminate}")
+            emit_history_csv(record, out_dir / (cfg.history or f"{stem}.csv"))
         with open(out_dir / cfg.log, "a", encoding="utf-8") as fh:
             fh.write(summary.log_line() + "\n")
     except (OSError, VarredError) as exc:

@@ -10,11 +10,10 @@ x and slices every block a map reads; iterative maps return a warm start that
 already meets the active tolerance unchanged, with zero inner iterations.  The
 reduced objective keeps the solve at its last point: it reads J, grad_x J and
 the inner residual ||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and
-the reduced Hessian off its ``linearize(y)`` and ``x_products(y)``; the exact
-quadratic map's J evaluates through S, never the full A.  It copies x once per
-evaluation, and that copy is both its cache key and the x the map freezes; a
-value alone, as at a line-search trial, forms no grad_x J until the gradient
-is asked for.  A scheduled map's ``accept`` re-solves at an accepted outer
+the reduced Hessian off its ``reduced_hessian(y)``; the exact quadratic map's
+J evaluates through S, never the full A.  It copies x once per evaluation,
+and that copy is both its cache key and the x the map freezes; a value alone,
+as at a line-search trial, forms no grad_x J until the gradient is asked for.  A scheduled map's ``accept`` re-solves at an accepted outer
 iterate on that same J(x, .), so each point is frozen once.  Maps carry
 warm-start state and work counters, so a map instance is confined to a single
 optimizer run; distinct instances over the same (immutable) problem may run
@@ -299,22 +298,13 @@ class ReducedObjective:
 
     def hessian_op(self, x: np.ndarray) -> LinOp:
         """Reduced Hessian at x as an operator: the assembled Schur complement
-        for exact quadratic maps, otherwise at (x, h(x)) matrix-free,
-
-            v -> grad_xx J v - grad_xy J (grad_yy J)^{-1} grad_yx J v,
-
-        with one y-block :func:`op_solve` (CG at relative tolerance 1e-12 unless
-        direct) per product; every block comes from the cached J(x, .)."""
+        for exact quadratic maps, with no solve at x; otherwise the cached
+        J(x, .)'s :meth:`~varred.problems.Restricted.reduced_hessian` at h(x),
+        matrix-free or, on log-sum-exp, in closed form with a direct solve."""
         if isinstance(self.elim, QuadraticExactElimination):
             return LinOp.from_matrix(self.elim.s)
         result = self._ensure(x)[1]
-        h_yy = result.restricted.linearize(result.y)[1]
-        along_x, xy = result.restricted.x_products(result.y)
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            h_xx_v, h_yx_v = along_x(v)
-            return h_xx_v - xy(op_solve(h_yy, h_yx_v))
-        return LinOp(dim=self.n, apply=apply)
+        return result.restricted.reduced_hessian(result.y)
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.hessian_op(x)(v)
@@ -329,4 +319,4 @@ class ReducedObjective:
         if nd2 == 0.0:
             raise ValueError("direction must be nonzero")
         result = self._ensure(x)[1]
-        return float(d @ result.restricted.x_products(result.y)[0](d)[0]) / nd2
+        return result.restricted.curvature(result.y, d) / nd2

@@ -147,18 +147,18 @@ def armijo_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
 # evaluates J and grad J at x_next itself.  Line-search methods build theirs
 # with :func:`_line_step` from a direction rule, (x, g) -> d, and a step rule,
 # (x, d, g, J(x)) -> (x + t d, t), which may write into d.  Rules look
-# ``armijo_search``, ``optimal_step_quadratic`` and ``linalg.cg_solve`` up at
-# call time, once per outer iteration, so instrumentation that replaces those
-# names sees every call.
+# ``armijo_search``, ``optimal_step_quadratic`` and ``linalg.op_solve`` (which
+# looks up ``linalg.cg_solve``) up at call time, once per outer iteration, so
+# instrumentation that replaces those names sees every call.
 
 def _steepest(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -g
 
 
 def _newton_direction(reduced: ReducedObjective):
-    """Reduced Newton step: CG on the reduced Hessian at the default 1e-12."""
+    """Reduced Newton step by ``op_solve``: direct on log-sum-exp, else CG at 1e-12."""
     def direction(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return linalg.cg_solve(reduced.hessian_op(x), -g).x
+        return linalg.op_solve(reduced.hessian_op(x), -g)
     return direction
 
 
@@ -317,9 +317,9 @@ def newton_eliminated(obj: Objective, part: BlockPartition,
 
     The reduced Jacobian grad_xx J - grad_xy J (grad_yy J)^{-1} grad_yx J is
     :meth:`ReducedObjective.hessian_op`, read off the restriction J(x, .) that
-    evaluated J~ at x.  Each Newton system is solved by CG to relative residual
-    1e-12; the y-block solve inside each operator product is direct where the
-    block has a direct solve (log-sum-exp), else CG to the same tolerance.
+    evaluated J~ at x.  Each Newton system is solved by ``op_solve``: directly
+    on log-sum-exp, whose reduced Hessian has a closed form, else by CG to
+    relative residual 1e-12 with a y-block solve inside each product.
     Steps are damped by Armijo on the reduced objective from a unit trial step.
     """
     reduced = ReducedObjective(obj, part, elim)

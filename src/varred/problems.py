@@ -7,16 +7,15 @@ eliminated variables y.  :meth:`Objective.restrict` gives J on the y block
 with x frozen once, by default through the full evaluation, so any objective
 with a Hessian-vector product supports elimination.  It is the one place that
 checks a frozen x, slices the objective's data to a partition's blocks and
-forms J's Hessian blocks at (x, y), the y block for the inner Newton solve and
-the x-block products for the reduced Hessian; other layers read what it
-formed.  Both problems here make the work of an inner Newton iterate depend on
-n_y alone; log-sum-exp solves its y block directly and makes an x-block
-product O(n) with no ``exp``.  Its restriction writes every x-block vector it
-returns in place, so a product or an evaluation makes that one array, and
-``evaluate(y, grad_x=False)`` makes none.  A quadratic stores its validated A
-read-only and, until it stores another, refers to it weakly: a problem built
-on that very array shares it and repeats no check; its blocks of a range
-partition are views of A.
+forms J's Hessian at (x, y), the y block for the inner Newton solve and the
+reduced Hessian for the outer one; other layers read what it formed.  Both
+problems here make the work of an inner Newton iterate depend on n_y alone;
+log-sum-exp solves its y block and its reduced Hessian directly, in O(n) with
+no ``exp``, and its evaluation and curvature form their x-block vector in
+place, none if ``evaluate(y, grad_x=False)``.  A quadratic stores its
+validated A read-only and, until it stores another, refers to it weakly: a
+problem built on that very array shares it and repeats no check; its blocks
+of a range partition are views of A.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailure, DimensionMismatch, NotSPD
-from .linalg import LinOp, as_vector, orthogonal_from_rng, spd_check, sym_matrix
+from .linalg import LinOp, as_vector, op_solve, orthogonal_from_rng, spd_check, sym_matrix
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,11 @@ def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
 
 class Restricted:
     """J(x, .) for one frozen x, at z = (x, y): ``linearize(y)`` is (grad_y J,
-    grad_yy J as an operator), ``x_products(y)`` the x-block products of the
-    Hessian and ``evaluate(y)`` is (J, grad_x J, grad_y J), where a subclass
-    may skip grad_x J (None) if ``grad_x`` is false.  Here each embeds z
-    once and calls the full ``evaluate`` or ``hessian_vec``; the products do no
-    work before their first call."""
+    grad_yy J as an operator), ``reduced_hessian(y)`` is grad_xx J - grad_xy J
+    (grad_yy J)^{-1} grad_yx J as an operator, ``curvature(y, d)`` d'grad_xx J d
+    and ``evaluate(y)`` (J, grad_x J, grad_y J), where a subclass may skip
+    grad_x J (None) if ``grad_x`` is false.  Here each embeds z once and calls
+    the full ``evaluate`` or ``hessian_vec``."""
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
         x = as_vector(x)
@@ -128,12 +127,20 @@ class Restricted:
         op = LinOp(dim=part.n_y, apply=lambda v: obj.hessian_vec(z, part.embed(0.0, v))[yk])
         return obj.gradient(z)[yk], op
 
-    def x_products(self, y: np.ndarray):
-        """(v -> (grad_xx J v, grad_yx J v), w -> grad_xy J w)."""
+    def reduced_hessian(self, y: np.ndarray) -> LinOp:
+        """Matrix-free, with one y-block :func:`op_solve` per product (CG at
+        relative tolerance 1e-12 unless ``linearize``'s operator solves directly)."""
         obj, part = self.restriction.objective, self.restriction.part
-        z = part.embed(self.x, y)
-        return (lambda v: part.split(obj.hessian_vec(z, part.embed(v, 0.0))),
-                lambda w: obj.hessian_vec(z, part.embed(0.0, w))[part.x_key])
+        z, h_yy = part.embed(self.x, y), self.linearize(y)[1]
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            h_xx_v, h_yx_v = part.split(obj.hessian_vec(z, part.embed(v, 0.0)))
+            return h_xx_v - obj.hessian_vec(z, part.embed(0.0, op_solve(h_yy, h_yx_v)))[part.x_key]
+        return LinOp(part.n_x, apply)
+
+    def curvature(self, y: np.ndarray, d: np.ndarray) -> float:
+        obj, part = self.restriction.objective, self.restriction.part
+        return float(d @ obj.hessian_vec(part.embed(self.x, y), part.embed(d, 0.0))[part.x_key])
 
     def evaluate(self, y: np.ndarray, grad_x: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
         part = self.restriction.part
@@ -263,8 +270,8 @@ class LogSumExpRestricted(Restricted):
     block, in place in one buffer: the x part s_x of the partition sum,
     shifted by m_x = max b_x x, and x'D_x x are formed once.  Under the full
     shift m = max(m_x, max b_y y) the x part is s_x exp(m_x - m), so
-    ``linearize(y)`` is O(n_y), and ``evaluate(y)`` and ``x_products(y)`` have
-    no ``exp`` over x."""
+    ``linearize(y)`` is O(n_y), and ``evaluate(y)``, ``reduced_hessian(y)`` and
+    ``curvature(y, d)`` have no ``exp`` over x."""
 
     @staticmethod
     def blocks(objective: LogSumExpProblem, part: BlockPartition):
@@ -319,25 +326,35 @@ class LogSumExpRestricted(Restricted):
         g_x += self.dx
         return val, g_x, dy
 
-    def x_products(self, y: np.ndarray):
-        """With g_x = be_x scale the blocks of diag(b g) - g g' + D give
-        v -> ((b_x g_x) v - g_x (g_x v) + d_x v, -g (g_x v)) and
-        w -> -g_x (g w), in O(n) per product.  Each makes only the x-block array it
-        returns, the first as (g_x (b_x v - g_x'v) / d_x + v) d_x in place (d_x > 0)."""
+    def reduced_hessian(self, y: np.ndarray) -> LinOp:
+        """S = D_x - g_x g_x' / sigma_y with g_x = be_x scale, D_x = diag(b_x g_x + d_x)
+        and sigma_y the sigma of ``linearize``; it solves by Sherman-Morrison,
+        r -> D_x^{-1} r + D_x^{-1} g_x (g_x'D_x^{-1} r) / sigma, with sigma =
+        sigma_y - g_x'D_x^{-1} g_x = sum w d / D over all n, summed term by term."""
         _, w, scale = self._softmax(y)
-        g = self.b_y * w
+        sum_y = float(w @ (self.d_y / (self.b_y * (self.b_y * w) + self.d_y)))
+        sigma_y = self.s_x * scale + sum_y
+        g_x = np.multiply(self.be_x, scale)
+        diag = self.b_x * g_x + self.d_x
+        sigma = sum_y + float(g_x @ (self.d_x / (self.b_x * diag)))  # w_x = g_x / b_x
 
-        def along_x(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            gv = scale * float(self.be_x @ v)
-            hv = np.multiply(self.b_x, v)
-            hv -= gv
-            hv *= self.be_x
-            hv *= scale
-            hv /= self.d_x
-            hv += v
-            hv *= self.d_x
-            return hv, -(g * gv)
-        return along_x, lambda w: np.multiply(self.be_x, -scale * float(g @ w))
+        def solve(r: np.ndarray) -> np.ndarray:
+            u = r / diag
+            return u + g_x / diag * (float(g_x @ u) / sigma)
+        return LinOp(g_x.size, lambda v: diag * v - g_x * (float(g_x @ v) / sigma_y), solve)
+
+    def curvature(self, y: np.ndarray, d: np.ndarray) -> float:
+        """d'(diag(b_x g_x) - g_x g_x' + D_x) d in O(n_x), the product formed in
+        place as (g_x (b_x d - g_x'd) / d_x + d) d_x (d_x > 0)."""
+        scale = self._softmax(y)[2]
+        hd = np.multiply(self.b_x, d)
+        hd -= scale * float(self.be_x @ d)
+        hd *= self.be_x
+        hd *= scale
+        hd /= self.d_x
+        hd += d
+        hd *= self.d_x
+        return float(d @ hd)
 
 
 class LogSumExpProblem(Objective):

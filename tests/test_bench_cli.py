@@ -291,7 +291,23 @@ class TestCLI:
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--seed", "5", "--out", str(out)]) == 0
         assert "seed=5" in capsys.readouterr().out
-        assert [csv.name for csv in out.glob("*.csv")] == ["pgd-exact_quadratic_seed5.csv"]
+        assert [csv.name for csv in out.glob("*.csv")] == ["pgd-exact_quadratic_n_x_4_n_y_6_seed_5_full.csv"]
+
+    def test_history_names_keep_runs_of_one_directory_apart(self, tmp_path):
+        # the default name holds every field of the problem label and the
+        # scope, so the full and the partial quadratic scope leave two CSVs;
+        # an explicit [output] history wins
+        out = tmp_path / "o"
+        for name in ("quadratic_full", "quadratic_partial"):
+            assert main(["run", "--config", str(ROOT / "configs" / f"{name}.ini"),
+                         "--out", str(out)]) == 0
+        assert sorted(csv.name for csv in out.glob("*.csv")) == [
+            "pgd-exact_quadratic_n_x_40_n_y_60_seed_0_full.csv",
+            "pgd-exact_quadratic_n_x_40_n_y_60_seed_0_last_50.csv"]
+        path = tmp_path / "cfg.ini"
+        path.write_text(SMALL_QUADRATIC + "[output]\nhistory = mine.csv\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "mine.csv").is_file() and len(list(out.glob("*.csv"))) == 3
 
     def test_optimal_step_pgd_exact_on_logsumexp(self, tmp_path):
         path = tmp_path / "cfg.ini"

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.linalg
 from varred.errors import NonConvergence, NotSPD
 from varred.linalg import (
     LinOp,
     cg_solve,
     condition_number,
+    op_solve,
     orthogonal_from_rng,
     spd_check,
     sym_matrix,
@@ -65,6 +67,29 @@ class TestCG:
         res = cg_solve(LinOp.from_matrix(a), rhs, rel_tol=1e-12)
         assert res.iterations <= n
         assert np.linalg.norm(a @ res.x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+class TestOpSolve:
+    def test_an_operator_with_a_solve_never_reaches_cg(self, monkeypatch):
+        def no_cg(*args, **kwargs):
+            raise AssertionError("op_solve called CG for an operator with a solve")
+
+        monkeypatch.setattr(varred.linalg, "cg_solve", no_cg)
+        d = np.array([2.0, 4.0, 8.0])
+        op = LinOp(3, lambda v: d * v, lambda r: r / d)
+        assert np.array_equal(op_solve(op, np.array([2.0, 4.0, 4.0])), [1.0, 1.0, 0.5])
+
+    def test_without_a_solve_it_is_cg_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        op = LinOp.from_matrix(random_spd(rng, 9))
+        rhs = rng.standard_normal(9)
+        seen = []
+        monkeypatch.setattr(varred.linalg, "cg_solve",
+                            lambda o, r, rel_tol: seen.append(rel_tol) or cg_solve(o, r, rel_tol))
+        for rel_tol in (1e-3, 1e-12):
+            assert np.array_equal(op_solve(op, rhs, rel_tol), cg_solve(op, rhs, rel_tol).x)
+        assert np.array_equal(op_solve(op, rhs), cg_solve(op, rhs).x)
+        assert seen == [1e-3, 1e-12, 1e-12]
 
 
 class TestLinOp:

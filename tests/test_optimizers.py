@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varred.linalg
 import varred.optimizers
 import varred.problems
 from varred.errors import DegenerateCurvature, LineSearchFailure, MaxIterReached
@@ -476,6 +477,25 @@ class TestNewtonEliminated:
                                    stop=StopRule(max_iter=10))
         assert rec.iterations == 1
 
+    def test_only_quadratic_newton_systems_run_cg(self, monkeypatch):
+        # log-sum-exp solves its reduced Hessian in closed form, under its own
+        # partition and under a partial scope; a quadratic's Newton system is CG on S
+        def no_cg(*args, **kwargs):
+            raise AssertionError("a log-sum-exp Newton run called CG")
+
+        cg_solve, calls = varred.linalg.cg_solve, []
+        monkeypatch.setattr(varred.linalg, "cg_solve", no_cg)
+        p = LogSumExpProblem(60, 4)
+        z_star = lse_minimizer(p)
+        for part in (p.partition, p.partition.shrink_eliminated(2)):
+            x, rec = newton_eliminated(p, part, x0=np.zeros(part.n_x), stop=StopRule(1e-9, 30))
+            assert rec.final.rel_grad_norm <= 1e-9 and rec.final.cum_linear_solves == 0
+            np.testing.assert_allclose(x, z_star[part.x_indices], rtol=0, atol=1e-9)
+        monkeypatch.setattr(varred.linalg, "cg_solve", lambda *a, **kw: calls.append(1) or cg_solve(*a, **kw))
+        q = build_test_matrix(5, 6, (1, 5), (1, 40), 1e-1, seed=9)
+        _, rec = newton_eliminated(q, q.partition, x0=np.zeros(5), stop=StopRule(max_iter=10))
+        assert len(calls) == rec.iterations == 1
+
     def test_logsumexp_superlinear_tail(self):
         p = LogSumExpProblem(50, 5)
         elim = NewtonElimination(p, inner_tol=1e-13)
@@ -505,27 +525,33 @@ class TestNewtonEliminated:
 
     def test_logsumexp_reduced_hessian_products_make_no_exp(self, monkeypatch):
         # the reduced Hessian at x is formed from the cached J(x, .): its
-        # products run no exp at all, over n, n_x or n_y
+        # products (the optimal step of PGD) and its solves (the Newton
+        # steps) run no exp at all, over n, n_x or n_y
         p = LogSumExpProblem(60, 4)
-        sizes, per_product = [], []
+        sizes, calls = [], {"apply": [], "solve": []}
         exp, hessian_op = np.exp, ReducedObjective.hessian_op
 
         def counted(reduced, x):
             op = hessian_op(reduced, x)
 
-            def apply(v):
-                before = len(sizes)
-                hv = op(v)
-                per_product.append(sizes[before:])
-                return hv
-            return LinOp(dim=op.dim, apply=apply)
+            def watched(name):
+                def call(v):
+                    before = len(sizes)
+                    out = getattr(op, name)(v)
+                    calls[name].append(sizes[before:])
+                    return out
+                return call
+            return LinOp(op.dim, watched("apply"), watched("solve"))
 
         monkeypatch.setattr(varred.problems.np, "exp", lambda a, **kw: sizes.append(a.size) or exp(a, **kw))
         monkeypatch.setattr(ReducedObjective, "hessian_op", counted)
         _, rec = newton_eliminated(p, p.partition, x0=np.zeros(56),
                                    stop=StopRule(rel_grad_tol=1e-9, max_iter=30))
-        assert rec.iterations >= 3 and len(per_product) > rec.iterations
-        assert all(s == [] for s in per_product)
+        assert rec.iterations >= 3 and len(calls["solve"]) == rec.iterations
+        gradient_descent(ReducedObjective(p), np.zeros(56), StopRule(1e-6, 30),
+                         step_mode="optimal_quadratic")
+        assert len(calls["apply"]) >= 3
+        assert all(s == [] for s in calls["apply"] + calls["solve"])
 
 
 class QuarticPlusQuadratic(Objective):

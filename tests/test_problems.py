@@ -328,17 +328,20 @@ def _assembled(op):
     return np.column_stack([op(e) for e in np.eye(op.dim)])
 
 
-def _x_blocks(restricted, part, y):
-    """grad_xx J, grad_yx J and grad_xy J assembled from ``x_products(y)``."""
-    along_x, xy = restricted.x_products(y)
-    cols = [along_x(e) for e in np.eye(part.n_x)]
-    return (np.column_stack([c[0] for c in cols]), np.column_stack([c[1] for c in cols]),
-            np.column_stack([xy(e) for e in np.eye(part.n_y)]))
-
-
-def _dense_x_blocks(h, part):
+def _dense_schur(h, part):
     xi, yi = part.x_indices, part.y_indices
-    return h[np.ix_(xi, xi)], h[np.ix_(yi, xi)], h[np.ix_(xi, yi)]
+    return h[np.ix_(xi, xi)] - h[np.ix_(xi, yi)] @ np.linalg.solve(h[np.ix_(yi, yi)], h[np.ix_(yi, xi)])
+
+
+def _check_x_side(restricted, part, y, h, rtol):
+    """``reduced_hessian(y)`` assembled against the Schur complement of the
+    dense Hessian ``h``, and ``curvature(y, d)`` against d' h_xx d."""
+    s = _dense_schur(h, part)
+    got = _assembled(restricted.reduced_hessian(y))
+    assert np.all(np.isfinite(got)) and np.abs(got - s).max() <= rtol * np.abs(s).max()
+    h_xx = h[np.ix_(part.x_indices, part.x_indices)]
+    for d in np.random.default_rng(8).standard_normal((3, part.n_x)):
+        assert restricted.curvature(y, d) == pytest.approx(d @ h_xx @ d, rel=rtol)
 
 
 class TestYLinearization:
@@ -363,34 +366,34 @@ class TestYLinearization:
         h_full = np.column_stack([p.hessian_vec(z, e) for e in np.eye(15)])
         assert np.abs(h_full - h).max() <= 1e-13 * np.abs(h).max()
         # the problem's own restriction, and the generic route through the
-        # full evaluation and Hessian product, which is exact: its blocks are
-        # those of the full product's columns, bit for bit
+        # full evaluation, which is exact, and Hessian product; a reduced
+        # Hessian with no direct solve runs CG at 1e-12 inside each product
         for restricted, exact in ((p.restrict(part).at(x), False),
                                   (Restricted(p.restrict(part), x), True)):
             g_y, h_yy = restricted.linearize(y)
             np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
             got = (*restricted.evaluate(y), g_y)
-            blocks = zip(_x_blocks(restricted, part, y), _dense_x_blocks(h_full if exact else h, part))
             if exact:
                 assert got[0] == val
                 assert all(np.array_equal(a, b) for a, b in zip(got[1:], full[1:]))
-                assert all(np.array_equal(a, b) for a, b in blocks)
             else:
                 assert got[0] == pytest.approx(val, rel=1e-13)
                 for a, b in zip(got[1:], full[1:]):
                     assert np.abs(a - b).max() <= 1e-13 * np.abs(g).max()
-                for a, b in blocks:
-                    assert np.abs(a - b).max() <= 1e-13 * np.abs(h).max()
+            direct = restricted.reduced_hessian(y).solve is not None
+            _check_x_side(restricted, part, y, h, 1e-12 if direct else 1e-10)
 
     @pytest.mark.parametrize("kind", ["leading", "scattered", "swapped"])
     def test_logsumexp_direct_solve_matches_dense_solve(self, kind):
         # Sherman-Morrison on diag - rank one against np.linalg.solve on the
-        # assembled block, at random points, where the block holds all but
-        # 1e-8 of the softmax weight (sigma then rests on sum w d / D), and
-        # where one y weight is 1 - 5e-7 (the oracle's diagonal must not cancel)
+        # assembled block, and the closed form S = D_x - g_x g_x' / sigma_y,
+        # product and solve, against the dense Schur complement, at random
+        # points, where the block holds all but 1e-8 of the softmax weight
+        # (sigma then rests on sum w d / D), and where one y weight is
+        # 1 - 5e-7 (the oracle's diagonal must not cancel)
         p = LogSumExpProblem(15, 6)
         part = _partitions(15, 9)[kind]
-        rng = np.random.default_rng(5)
+        rng, rng_s = np.random.default_rng(5), np.random.default_rng(6)
         points = [rng.standard_normal(15) * 0.4 for _ in range(4)]
         t = np.log(p.a_coeffs[part.x_indices].sum() / 1e-8 / p.a_coeffs[part.y_indices].sum())
         points.append(part.embed(np.zeros(part.n_x), t / p.b_coeffs[part.y_indices]))
@@ -402,11 +405,17 @@ class TestYLinearization:
         assert p._softmax_weights(points[-1])[1][j] >= 1 - 1e-6
         for z in points:
             x, y = part.split(z)
-            _, h_yy = p.restrict(part).at(x).linearize(y)
-            dense = lse_dense_hessian(p, z)[np.ix_(part.y_indices, part.y_indices)]
+            restricted, h = p.restrict(part).at(x), lse_dense_hessian(p, z)
+            _, h_yy = restricted.linearize(y)
+            dense = h[np.ix_(part.y_indices, part.y_indices)]
             for r in rng.standard_normal((3, part.n_y)):
                 expected = np.linalg.solve(dense, r)
                 assert np.linalg.norm(h_yy.solve(r) - expected) <= 1e-12 * np.linalg.norm(expected)
+            s, dense = restricted.reduced_hessian(y), _dense_schur(h, part)
+            for r in rng_s.standard_normal((3, part.n_x)):
+                assert np.linalg.norm(s(r) - dense @ r) <= 1e-12 * np.linalg.norm(dense @ r)
+                expected = np.linalg.solve(dense, r)
+                assert np.linalg.norm(s.solve(r) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("x_fill, y_fill", [(0.0, 100.0), (0.0, -100.0), (80.0, 0.0)],
                              ids=["y-max-x-underflows", "x-max-y-underflows", "x-max"])
@@ -429,8 +438,7 @@ class TestYLinearization:
         h = lse_dense_hessian(p, z)
         dense = h[np.ix_(part.y_indices, part.y_indices)]
         np.testing.assert_allclose(_assembled(h_yy), dense, rtol=1e-12, atol=1e-15)
-        for a, b in zip(_x_blocks(restricted, part, y), _dense_x_blocks(h, part)):
-            assert np.all(np.isfinite(a)) and np.abs(a - b).max() <= 1e-13 * np.abs(h).max()
+        _check_x_side(restricted, part, y, h, 1e-12)
 
     @pytest.mark.parametrize("kind", ["leading", "trailing", "scattered", "descending"])
     def test_logsumexp_blocks_of_an_ascending_range_are_views(self, kind):
@@ -444,8 +452,8 @@ class TestYLinearization:
                 assert np.shares_memory(b, c) == ascending_range
 
     def test_logsumexp_one_softmax_pass(self, monkeypatch):
-        # at(x): one exp over the x block; linearize, evaluate and
-        # x_products: one over the y block each; products: none
+        # at(x): one exp over the x block; linearize, evaluate, reduced_hessian
+        # and curvature: one over the y block each; products and solves: none
         p = LogSumExpProblem(50, 7)
         sizes = []
         exp = np.exp
@@ -455,11 +463,12 @@ class TestYLinearization:
         for v in np.eye(7):
             h_yy(v)
         restricted.evaluate(np.full(7, 0.3))
-        along_x, xy = restricted.x_products(np.full(7, 0.3))
+        s = restricted.reduced_hessian(np.full(7, 0.3))
         for _ in range(3):
-            along_x(np.ones(43))
-            xy(np.ones(7))
-        assert sizes == [43, 7, 7, 7]
+            s(np.ones(43))
+            s.solve(np.ones(43))
+        restricted.curvature(np.full(7, 0.3), np.ones(43))
+        assert sizes == [43, 7, 7, 7, 7]
 
     def test_quadratic_copies_no_submatrix_before_a_product(self, monkeypatch):
         # (A_xx, A_xy, b_x) and (A22, A_yx, b_y) are sliced on first

@@ -39,6 +39,13 @@ def test_compare_histories(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
     (csv,) = (tmp_path / "new").glob("*.csv")
+    extra = csv.with_name("extra.csv")
+    extra.write_text(csv.read_text())
+    proc = _python(compare, tmp_path)
+    assert proc.returncode == 1
+    assert "extra.csv: missing under OLD" in proc.stdout and "1 of 2 histories identical" in proc.stdout
+    extra.unlink()
+
     header, *rows = csv.read_text().splitlines()
     column = header.split(",").index("grad_norm")
     cells = rows[1].split(",")
