@@ -3,7 +3,8 @@ CSV histories, summary tables and conditioning reports.
 
 Config files are flat ``key = value`` INI text with bracketed section headers
 (see ``CONFIG_KEYS`` for every recognized key; unknown sections or keys are
-rejected).  Command-line flags override config-file values.
+rejected).  Command-line flags override config-file values; each verb
+takes only the flags it reads (``varred <verb> --help``).
 
 Verbs:
     run               one experiment (method x problem), writes a history CSV
@@ -11,7 +12,8 @@ Verbs:
     report-condition  kappa_2 of the full matrix, its retained block and the
                       Schur complement for the configured elimination scope
 
-Exit codes: 0 converged, 2 max-iter, 3 config error, 4 solver failure.
+Exit codes: 0 converged, 2 max-iter, 3 config error (a malformed command line
+included), 4 solver failure.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .elimination import (
     QuadraticExactElimination,
     ReducedObjective,
     ScheduledInexactElimination,
-    exact_map,
 )
 from .linalg import condition_number
 from .optimizers import (
@@ -83,7 +84,6 @@ class ExperimentConfig:
     eliminate: str = _setting("method", "full")  # "full" or "last:<n_r>"
     step_mode: str = _setting("method", "auto")  # auto | optimal | armijo
     z0_fill: float = _setting("method", 0.0)
-    inner_tol: float = _setting("method", 1e-10)  # exact-elimination tolerance for non-quadratic problems
     rel_grad_tol: float = _setting("stop", 1e-6)
     max_iter: int = _setting("stop", 50000)
     c1: float = _setting("armijo", 1e-4)
@@ -114,8 +114,6 @@ class ExperimentConfig:
         for name in ("tol_init", "coupling_eps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not self.inner_tol > 0:
-            raise ConfigError("method.inner_tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("stop.max_iter must be >= 1")
         try:
@@ -266,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
                                          step_mode=_resolve_step_mode(cfg, problem),
                                          armijo=armijo)
         elif cfg.method == "pgd-exact":
-            reduced = ReducedObjective(problem, part, exact_map(problem, part, cfg.inner_tol))
+            reduced = ReducedObjective(problem, part)
             _, record = gradient_descent(reduced, x0, stop,
                                          step_mode=_resolve_step_mode(cfg, problem),
                                          armijo=armijo)
@@ -277,8 +275,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
         elif cfg.method == "altmin":
             _, record = alternating_minimization(problem, part, z0, stop)
         elif cfg.method == "newton-elim":
-            elim = exact_map(problem, part, cfg.inner_tol)
-            _, record = newton_eliminated(problem, part, elim, x0, stop, armijo)
+            _, record = newton_eliminated(problem, part, x0=x0, stop=stop, p=armijo)
     except MaxIterReached as exc:
         status = "max-iter"
         record = exc.record
@@ -346,8 +343,10 @@ def conditioning_report(cfg: ExperimentConfig) -> ConditioningReport:
 def run_table1_sweep(cfg: ExperimentConfig,
                      n_el_values: list[int]) -> tuple[dict[str, dict[int, RunSummary]], str]:
     """Run gd / pgd-exact / pgd-inexact from z = 0 on the log-sum-exp problem
-    for each n_el; write ``table_sweep.tsv`` of outer iterations (seconds) and
-    return the summaries with the table's text.
+    for each n_el; write ``table_sweep_logsumexp_n_<n>.tsv`` of outer
+    iterations (seconds) and return the summaries with the table's text.
+    Each cell's history takes ``run``'s default name (e.g.
+    ``pgd-exact_logsumexp_n_60_n_el_4_full.csv``), so sweeps at other n keep it.
 
     The table shows GD's iterations growing with n_el while both PGD variants
     stay at a few.  With ``configs/logsumexp.ini`` (n = 1000) and n_el from 10
@@ -371,8 +370,7 @@ def run_table1_sweep(cfg: ExperimentConfig,
     for n_el in n_el_values:
         for method in methods:
             cell = replace(cfg, kind="logsumexp", n_el=n_el, method=method,
-                           eliminate="full", step_mode="auto",
-                           history=f"sweep_{method}_nel{n_el}.csv")
+                           eliminate="full", step_mode="auto", history="")
             table[method][n_el] = run_experiment(cell, quiet=True)[0]
 
     def shown(s: RunSummary) -> str:
@@ -384,7 +382,7 @@ def run_table1_sweep(cfg: ExperimentConfig,
     lines += [m + "\t" + "\t".join(shown(table[m][v]) for v in n_el_values) for m in methods]
     text = "\n".join(lines) + "\n"
     try:
-        with open(out_dir / "table_sweep.tsv", "w", encoding="utf-8") as fh:
+        with open(out_dir / f"table_sweep_logsumexp_n_{cfg.n}.tsv", "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write the sweep table under {out_dir}: {exc}") from exc
@@ -409,22 +407,35 @@ def emit_history_csv(record: ConvergenceRecord, path: str | Path) -> None:
 
 # ---------------------------------------------------------------- CLI
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", type=str, default=None, help="config file (INI)")
-    sub.add_argument("--seed", type=int, default=None, help="override problem seed")
-    sub.add_argument("--out", type=str, default=None, help="override output directory")
-    sub.add_argument("--method", type=str, default=None,
-                     help="override method: " + "|".join(METHODS))
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a config error; subparsers share the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# flag -> add_argument keywords
+_FLAGS = {
+    "--config": dict(help="config file (INI)"),
+    "--seed": dict(type=int, help="override problem seed"),
+    "--out": dict(dest="out_dir", help="override output directory"),
+    "--method": dict(help="override method: " + "|".join(METHODS)),
+    "--n-el": dict(default="10,50,200,400", help="comma-separated n_el values"),
+}
+# verb -> (help, flags): --config, and only the overrides the verb reads
+_VERBS = {
+    "run": ("run one configured experiment", ("--config", "--seed", "--out", "--method")),
+    "sweep-table1": ("sweep the eliminated-variable count for gd, pgd-exact, pgd-inexact",
+                     ("--config", "--out", "--n-el")),
+    "report-condition": ("conditioning report for a quadratic problem", ("--config", "--seed")),
+}
 
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.method is not None:
-        cfg.method = args.method
+    for attr in ("seed", "out_dir", "method"):  # the destinations of the overriding flags
+        if getattr(args, attr, None) is not None:
+            setattr(cfg, attr, getattr(args, attr))
     return cfg.validate()
 
 
@@ -436,32 +447,22 @@ def _exit_code(statuses: set[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varred",
         description="Benchmarks for variable reduction by nonlinear elimination. "
                     "Config keys: " + "; ".join(
                         f"[{s}] " + ", ".join(keys) for s, keys in CONFIG_KEYS.items()))
     subs = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, flags) in _VERBS.items():
+        sub = subs.add_parser(verb, help=help_text)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
 
-    run_p = subs.add_parser("run", help="run one configured experiment")
-    _add_common_flags(run_p)
-
-    sweep_p = subs.add_parser("sweep-table1",
-                              help="sweep the eliminated-variable count for "
-                                   "gd, pgd-exact, pgd-inexact")
-    _add_common_flags(sweep_p)
-    sweep_p.add_argument("--n-el", type=str, default="10,50,200,400",
-                         help="comma-separated n_el values")
-
-    rep_p = subs.add_parser("report-condition",
-                            help="conditioning report for a quadratic problem")
-    _add_common_flags(rep_p)
-
-    args = parser.parse_args(argv)
     # a non-finite result still raises NonFinite (as_vector, sym_matrix); numpy's
     # warnings on the way there would only break the one-line messages
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            args = parser.parse_args(argv)
             cfg = _load_config(args)
             if args.verb == "run":
                 return _exit_code({run_experiment(cfg)[0].status})
@@ -469,21 +470,19 @@ def main(argv: list[str] | None = None) -> int:
                 report = conditioning_report(cfg)
                 print(report)
                 return 0
-            if args.verb == "sweep-table1":
-                try:
-                    values = [int(tok) for tok in args.n_el.split(",") if tok.strip()]
-                except ValueError as exc:
-                    raise ConfigError(f"bad --n-el list {args.n_el!r}") from exc
-                table, text = run_table1_sweep(cfg, values)
-                print(text, end="")
-                return _exit_code({s.status for per in table.values() for s in per.values()})
+            try:  # sweep-table1, the one verb left
+                values = [int(tok) for tok in args.n_el.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"bad --n-el list {args.n_el!r}") from exc
+            table, text = run_table1_sweep(cfg, values)
+            print(text, end="")
+            return _exit_code({s.status for per in table.values() for s in per.values()})
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 3
         except (VarredError, np.linalg.LinAlgError) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 4
-    raise AssertionError("unreachable verb")
 
 
 if __name__ == "__main__":

@@ -212,13 +212,13 @@ class ScheduledInexactElimination:
         return resolved
 
 
-def exact_map(objective: Objective, partition: BlockPartition,
-              inner_tol: float = 1e-10) -> QuadraticExactElimination | NewtonElimination:
+def exact_map(objective: Objective,
+              partition: BlockPartition) -> QuadraticExactElimination | NewtonElimination:
     """The exact elimination map for an objective: direct static condensation
-    for quadratics, damped Newton down to ``inner_tol`` otherwise."""
+    for quadratics, damped Newton down to its default residual 1e-10 otherwise."""
     if isinstance(objective, QuadraticProblem):
         return QuadraticExactElimination(objective, partition)
-    return NewtonElimination(objective, partition, inner_tol=inner_tol)
+    return NewtonElimination(objective, partition)
 
 
 class ReducedObjective:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import varred.bench_cli
+import varred.elimination
 import varred.optimizers
 
 from varred.bench_cli import (
@@ -28,7 +30,8 @@ from varred.bench_cli import (
     run_experiment,
     run_table1_sweep,
 )
-from varred.errors import ConfigError, VarredError
+from varred.elimination import NewtonElimination
+from varred.errors import ConfigError, NonConvergence, VarredError
 from varred.optimizers import ConvergenceRecord, RecordRow
 from varred.problems import QuadraticProblem
 
@@ -111,6 +114,14 @@ class TestConfigParsing:
         # would otherwise be accepted and ignored
         attrs = [attr for table in CONFIG_KEYS.values() for attr, _ in table.values()]
         assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_readme_names_only_config_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        mentioned = re.findall(r"`\[(\w+)\] (\w+)", readme)
+        assert mentioned
+        assert [(s, key) for s, key in mentioned if key not in CONFIG_KEYS.get(s, {})] == []
+        sections = re.search(r"with sections ((?:`\[\w+\]`[,\s]*)+)", readme)
+        assert re.findall(r"\[(\w+)\]", sections[1]) == list(CONFIG_KEYS)
 
 
 class TestHistoryCSV:
@@ -249,13 +260,23 @@ class TestSweep:
         table, text = run_table1_sweep(cfg, [4, 8])
         assert set(table.keys()) == {"gd", "pgd-exact", "pgd-inexact"}
         assert set(table["gd"].keys()) == {4, 8}
-        assert (tmp_path / "table_sweep.tsv").read_text() == text
+        assert (tmp_path / "table_sweep_logsumexp_n_60.tsv").read_text() == text
         text = text.splitlines()
         assert text[0] == "method\tn_el=4\tn_el=8"
         assert [line.split("\t")[0] for line in text[1:]] == ["gd", "pgd-exact", "pgd-inexact"]
         for method in table:
             for summary in table[method].values():
                 assert summary.status == "converged"
+
+    def test_sweeps_at_two_sizes_keep_their_outputs_apart(self, tmp_path):
+        for n in (60, 80):
+            run_table1_sweep(ExperimentConfig(kind="logsumexp", n=n, out_dir=str(tmp_path)), [4])
+        assert sorted(path.name for path in tmp_path.glob("*.csv")) == sorted(
+            f"{method}_logsumexp_n_{n}_n_el_4_full.csv"
+            for method in ("gd", "pgd-exact", "pgd-inexact") for n in (60, 80))
+        assert sorted(path.name for path in tmp_path.glob("*.tsv")) == [
+            "table_sweep_logsumexp_n_60.tsv", "table_sweep_logsumexp_n_80.tsv"]
+        assert len((tmp_path / "runs.log").read_text().splitlines()) == 6
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = ExperimentConfig(kind="logsumexp", out_dir=str(tmp_path))
@@ -332,8 +353,6 @@ class TestCLI:
         "no section header": "n_x = 4\n",
         "empty block": "[problem]\nn_x = 0\n",
         "reversed spectrum": "[problem]\nspec_x_lo = 5\nspec_x_hi = 1\n",
-        "inner_tol = 0": "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
-                         "[method]\nname = newton-elim\ninner_tol = 0\n",
         "z0_fill = nan": small_inexact(method="z0_fill = nan\n"),
         "coupling_eps = nan": small_inexact(problem="coupling_eps = nan\n"),
         "spec_x_hi = inf": small_inexact(problem="spec_x_hi = inf\n"),
@@ -344,6 +363,8 @@ class TestCLI:
         "removed inner solver": "[inexact]\ninner = gd-fixed\n",
         "removed gd_steps": "[inexact]\ngd_steps = 5\n",
         "removed curvature_scaled_init": "[armijo]\ncurvature_scaled_init = false\n",
+        "removed inner_tol": "[problem]\nkind = logsumexp\nn = 30\nn_el = 3\n"
+                             "[method]\nname = newton-elim\ninner_tol = 1e-3\n",
         "seed = -1": "[problem]\nseed = -1\n",
         "overflowing spectrum": small_inexact(problem=f"spec_y_hi = {HUGE}\n"),
         # sizes whose first allocation fails at once (exabytes)
@@ -375,6 +396,27 @@ class TestCLI:
 
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"], ["run", "--seed", "x"], ["frobnicate"], [],
+        # flags a verb does not read
+        ["sweep-table1", "--method", "gd"], ["sweep-table1", "--seed", "1"],
+        ["report-condition", "--out", "o"], ["report-condition", "--method", "gd"],
+    ], ids=lambda argv: " ".join(argv) or "no verb")
+    def test_bad_command_line_exit_three(self, tmp_path, capsys, monkeypatch, argv):
+        # nothing runs: run and sweep-table1 would write under ./runs
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: varred") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "-h"], ["sweep-table1", "--help"]],
+                             ids=" ".join)
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0 and "usage: varred" in capsys.readouterr().out
 
     def test_max_iter_exit_two(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -487,20 +529,24 @@ dir = {out}
         assert main(["sweep-table1", "--config", str(path), "--n-el", "4,8"]) == 0
         assert "pgd-inexact" in capsys.readouterr().out
 
-    def test_sweep_marks_max_iter_and_failed_cells(self, tmp_path, capsys):
-        # gd and pgd-inexact run out of iterations; the exact map's Newton
-        # cannot reach inner_tol 1e-300 and its damping fails
+    def test_sweep_marks_max_iter_and_failed_cells(self, tmp_path, capsys, monkeypatch):
+        # gd and pgd-inexact run out of iterations; pgd-exact's exact map, the
+        # only one of the three built by exact_map, stalls at every solve
+        class Stalled(NewtonElimination):
+            def solve(self, x, y0=None, tol=None):
+                raise NonConvergence("inner Newton stalled", residual=1.0, iterations=50)
+
+        monkeypatch.setattr(varred.elimination, "exact_map", Stalled)
         path = tmp_path / "cfg.ini"
         path.write_text("[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
-                        "[method]\ninner_tol = 1e-300\n[stop]\nmax_iter = 5\n"
+                        "[stop]\nmax_iter = 5\n"
                         f"[output]\ndir = {tmp_path / 'o'}\n")
         assert main(["sweep-table1", "--config", str(path), "--n-el", "4,8"]) == 4
         rows = {line.split("\t")[0]: line.split("\t")[1:]
                 for line in capsys.readouterr().out.splitlines()[1:]}
         assert all(cell.startswith("5 (") and cell.endswith(") [max-iter]")
                    for cell in rows["gd"] + rows["pgd-inexact"])
-        assert all(cell.startswith("[failed: inner Newton damping failed at residual ")
-                   for cell in rows["pgd-exact"])
+        assert rows["pgd-exact"] == ["[failed: inner Newton stalled]"] * 2
 
     @pytest.mark.parametrize("n_el", ["4,x", "4.5", ",", "4,8,4"])
     def test_bad_n_el_list_exit_three(self, tmp_path, capsys, n_el):
@@ -516,10 +562,11 @@ dir = {out}
         ("run", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
         ("report-condition", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
         ("run", f"[problem]\nn_x = 4\nn_y = 6\n[method]\nname = pgd-exact\nz0_fill = {HUGE}\n", 4),
+        # the one Armijo trial lands near |x| = 1e300, where J overflows to inf
         ("run", "[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
-                "[method]\nname = pgd-exact\ninner_tol = 1e-300\n", 4),
+                "[method]\nname = pgd-exact\n[armijo]\nt0 = 1e300\nmax_trials = 1\n", 4),
     ], ids=["run overflowing spectrum", "report overflowing spectrum", "overflowing start point",
-            "inner Newton damping fails"])
+            "line search fails on log-sum-exp"])
     def test_no_numpy_warning_on_stderr(self, tmp_path, verb, config, code):
         # a process of its own, so that numpy's warnings reach stderr uncaptured
         (tmp_path / "cfg.ini").write_text(config + "[output]\ndir = out\n")
