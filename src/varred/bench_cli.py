@@ -46,7 +46,6 @@ from .elimination import (
 )
 from .linalg import condition_number
 from .optimizers import (
-    ArmijoParams,
     ConvergenceRecord,
     StopRule,
     alternating_minimization,
@@ -86,12 +85,7 @@ class ExperimentConfig:
     z0_fill: float = _setting("method", 0.0)
     rel_grad_tol: float = _setting("stop", 1e-6)
     max_iter: int = _setting("stop", 50000)
-    c1: float = _setting("armijo", 1e-4)
-    shrink: float = _setting("armijo", 0.5)
-    t0: float = _setting("armijo", 1.0)
-    max_trials: int = _setting("armijo", 60)
     tol_init: float = _setting("inexact", 1e-3)
-    rho: float = _setting("inexact", 0.5)
     out_dir: str = _setting("output", "runs", key="dir")
     history: str = _setting("output", "")  # default: method, problem label and scope
     log: str = _setting("output", "runs.log")
@@ -119,18 +113,12 @@ class ExperimentConfig:
         try:
             self.scope_n_r  # parses [method] eliminate
             self.stop_rule()
-            self.armijo_params()
-            ScheduledInexactElimination.check_rho(self.rho)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
 
     def stop_rule(self) -> StopRule:
         return StopRule(rel_grad_tol=self.rel_grad_tol, max_iter=self.max_iter)
-
-    def armijo_params(self) -> ArmijoParams:
-        return ArmijoParams(c1=self.c1, shrink=self.shrink, t0=self.t0,
-                            max_trials=self.max_trials)
 
     @property
     def scope_n_r(self) -> int | None:
@@ -251,7 +239,6 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
     except OSError as exc:
         raise ConfigError(f"output.dir = {cfg.out_dir!r}: {exc}") from exc
     stop = cfg.stop_rule()
-    armijo = cfg.armijo_params()
     z0 = np.full(problem.n, cfg.z0_fill)
     x0, y0 = part.split(z0)
 
@@ -261,21 +248,19 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> tuple[RunSumma
     try:
         if cfg.method == "gd":
             _, record = gradient_descent(problem, z0, stop,
-                                         step_mode=_resolve_step_mode(cfg, problem),
-                                         armijo=armijo)
+                                         step_mode=_resolve_step_mode(cfg, problem))
         elif cfg.method == "pgd-exact":
             reduced = ReducedObjective(problem, part)
             _, record = gradient_descent(reduced, x0, stop,
-                                         step_mode=_resolve_step_mode(cfg, problem),
-                                         armijo=armijo)
+                                         step_mode=_resolve_step_mode(cfg, problem))
         elif cfg.method == "pgd-inexact":
             sched = ScheduledInexactElimination(NewtonElimination(problem, part),
-                                                tol_init=cfg.tol_init, rho=cfg.rho)
-            _, _, record = pgd_inexact(problem, part, sched, x0, y0, stop, armijo)
+                                                tol_init=cfg.tol_init)
+            _, _, record = pgd_inexact(problem, part, sched, x0, y0, stop)
         elif cfg.method == "altmin":
             _, record = alternating_minimization(problem, part, z0, stop)
         elif cfg.method == "newton-elim":
-            _, record = newton_eliminated(problem, part, x0=x0, stop=stop, p=armijo)
+            _, record = newton_eliminated(problem, part, x0=x0, stop=stop)
     except MaxIterReached as exc:
         status = "max-iter"
         record = exc.record
@@ -355,7 +340,14 @@ def run_table1_sweep(cfg: ExperimentConfig,
     its 20,000-iteration budget; exact PGD takes 2 and inexact PGD 2 to 3.
     The table shows no inner work, so it cannot show whether the inexact map
     needs less of it.  Per-cell failures are recorded and the sweep continues.
+    A config that sets a kind, scope, step mode or history name other than
+    the sweep's is a config error.
     """
+    fixed = {"kind": "logsumexp", "eliminate": "full", "step_mode": "auto", "history": ""}
+    clash = [f"{attr} = {getattr(cfg, attr)!r}, not {value!r}" for attr, value in fixed.items()
+             if getattr(cfg, attr) != value]
+    if clash:
+        raise ConfigError(f"sweep-table1 fixes these settings, but the config sets {'; '.join(clash)}")
     if not n_el_values:
         raise ConfigError("the sweep needs at least one n_el value")
     if len(set(n_el_values)) != len(n_el_values):
@@ -369,9 +361,8 @@ def run_table1_sweep(cfg: ExperimentConfig,
     table: dict[str, dict[int, RunSummary]] = {m: {} for m in methods}
     for n_el in n_el_values:
         for method in methods:
-            cell = replace(cfg, kind="logsumexp", n_el=n_el, method=method,
-                           eliminate="full", step_mode="auto", history="")
-            table[method][n_el] = run_experiment(cell, quiet=True)[0]
+            table[method][n_el] = run_experiment(replace(cfg, n_el=n_el, method=method),
+                                                 quiet=True)[0]
 
     def shown(s: RunSummary) -> str:
         if s.status.startswith("failed"):

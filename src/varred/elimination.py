@@ -13,9 +13,10 @@ the inner residual ||grad_y J(x, y)|| off that J(x, .)'s ``evaluate(y)``, and
 the reduced Hessian off its ``reduced_hessian(y)``; the exact quadratic map's
 J evaluates through S, never the full A.  It copies x once per evaluation,
 and that copy is both its cache key and the x the map freezes; a value alone,
-as at a line-search trial, forms no grad_x J until the gradient is asked for.  A scheduled map's ``accept`` re-solves at an accepted outer
-iterate on that same J(x, .), so each point is frozen once.  Maps carry
-warm-start state and work counters, so a map instance is confined to a single
+as at a line-search trial, forms no grad_x J until the gradient is asked
+for.  A scheduled map's ``accept`` re-solves at an accepted outer iterate on
+that same J(x, .), so each point is frozen once.  Maps carry warm-start
+state and work counters, so a map instance is confined to a single
 optimizer run; distinct instances over the same (immutable) problem may run
 concurrently.
 """
@@ -178,16 +179,12 @@ class ScheduledInexactElimination:
 
     def __init__(self, inner: NewtonElimination, tol_init: float = 1e-3,
                  rho: float = 0.5):
-        self.check_rho(rho)
+        if not 0.0 < rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
         self.inner, self.partition, self.counters = inner, inner.partition, inner.counters
         self.restriction = inner.restriction
         self.tol_init, self.rho = tol_init, rho
         self.reset(np.zeros(self.partition.n_y), inner.inner_tol)
-
-    @staticmethod
-    def check_rho(rho: float):
-        if not 0.0 < rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
 
     def reset(self, y0: np.ndarray, floor: float):
         self._warm = as_vector(y0).copy()

@@ -112,8 +112,8 @@ class Restricted:
     grad_yy J as an operator), ``reduced_hessian(y)`` is grad_xx J - grad_xy J
     (grad_yy J)^{-1} grad_yx J as an operator, ``curvature(y, d)`` d'grad_xx J d
     and ``evaluate(y)`` (J, grad_x J, grad_y J), where a subclass may skip
-    grad_x J (None) if ``grad_x`` is false.  Here each embeds z once and calls
-    the full ``evaluate`` or ``hessian_vec``."""
+    grad_x J (None) if ``grad_x`` is false.  Here each calls the full
+    ``evaluate`` or ``hessian_vec`` at the embedded z."""
 
     def __init__(self, restriction: Restriction, x: np.ndarray):
         x = as_vector(x)
@@ -123,15 +123,19 @@ class Restricted:
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
         obj, part = self.restriction.objective, self.restriction.part
+        return obj.gradient(part.embed(self.x, y))[part.y_key], self._hessian_yy(y)
+
+    def _hessian_yy(self, y: np.ndarray) -> LinOp:
+        """The operator of ``linearize`` with no gradient formed, for ``reduced_hessian``."""
+        obj, part = self.restriction.objective, self.restriction.part
         z, yk = part.embed(self.x, y), part.y_key
-        op = LinOp(dim=part.n_y, apply=lambda v: obj.hessian_vec(z, part.embed(0.0, v))[yk])
-        return obj.gradient(z)[yk], op
+        return LinOp(dim=part.n_y, apply=lambda v: obj.hessian_vec(z, part.embed(0.0, v))[yk])
 
     def reduced_hessian(self, y: np.ndarray) -> LinOp:
         """Matrix-free, with one y-block :func:`op_solve` per product (CG at
         relative tolerance 1e-12 unless ``linearize``'s operator solves directly)."""
         obj, part = self.restriction.objective, self.restriction.part
-        z, h_yy = part.embed(self.x, y), self.linearize(y)[1]
+        z, h_yy = part.embed(self.x, y), self._hessian_yy(y)
 
         def apply(v: np.ndarray) -> np.ndarray:
             h_xx_v, h_yx_v = part.split(obj.hessian_vec(z, part.embed(v, 0.0)))
@@ -227,8 +231,10 @@ class QuadraticRestricted(Restricted):
         return a_yx @ self.x - b_y
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, LinOp]:
-        a22 = self.restriction.blocks[1][0]
-        return a22 @ y + self.r, LinOp.from_matrix(a22)
+        return self.restriction.blocks[1][0] @ y + self.r, self._hessian_yy(y)
+
+    def _hessian_yy(self, y: np.ndarray) -> LinOp:
+        return LinOp.from_matrix(self.restriction.blocks[1][0])
 
 
 _validated = None  # weak reference to the last A a QuadraticProblem stored

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import math
 import os
@@ -32,7 +33,7 @@ from varred.bench_cli import (
 )
 from varred.elimination import NewtonElimination
 from varred.errors import ConfigError, NonConvergence, VarredError
-from varred.optimizers import ConvergenceRecord, RecordRow
+from varred.optimizers import ArmijoParams, ConvergenceRecord, RecordRow
 from varred.problems import QuadraticProblem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +115,26 @@ class TestConfigParsing:
         # would otherwise be accepted and ignored
         attrs = [attr for table in CONFIG_KEYS.values() for attr, _ in table.values()]
         assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_config_keys_are_pinned(self, tmp_path, capsys):
+        # a new config key means editing this table, and logging the edit
+        assert [(section, list(table)) for section, table in CONFIG_KEYS.items()] == [
+            ("problem", ["kind", "n_x", "n_y", "spec_x_lo", "spec_x_hi", "spec_y_lo",
+                         "spec_y_hi", "coupling_eps", "seed", "n", "n_el"]),
+            ("method", ["name", "eliminate", "step_mode", "z0_fill"]),
+            ("stop", ["rel_grad_tol", "max_iter"]),
+            ("inexact", ["tol_init"]),
+            ("output", ["dir", "history", "log"]),
+        ]
+        path = tmp_path / "cfg.ini"
+        for section, key, value in [("armijo", "c1", "1e-4"), ("armijo", "shrink", "0.5"),
+                                    ("armijo", "t0", "1.0"), ("armijo", "max_trials", "60"),
+                                    ("inexact", "rho", "0.5")]:
+            path.write_text(f"[{section}]\n{key} = {value}\n")
+            assert main(["run", "--config", str(path)]) == 3, key
+            err = capsys.readouterr().err
+            named = f"unknown key '{key}'" if section in CONFIG_KEYS else f"unknown section [{section}]"
+            assert err.startswith("config error") and named in err and len(err.splitlines()) == 1, key
 
     def test_readme_names_only_config_keys(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -341,10 +362,10 @@ class TestCLI:
 
     BAD_CONFIGS = {
         "unknown kind": "[problem]\nkind = cubic\n",
-        "c1 = 2": "[armijo]\nc1 = 2\n",
-        "shrink = 1.5": "[armijo]\nshrink = 1.5\n",
+        "removed c1": "[armijo]\nc1 = 1e-4\n",
+        "removed shrink": "[armijo]\nshrink = 0.5\n",
         "rel_grad_tol = 0": "[stop]\nrel_grad_tol = 0\n",
-        "rho = 1.5": "[inexact]\nrho = 1.5\n",
+        "removed rho": "[inexact]\nrho = 0.5\n",
         "scope beyond the block": "[problem]\nn_y = 60\n[method]\neliminate = last:100\n",
         "scope last:x": "[method]\neliminate = last:x\n",
         "scope last:0": "[method]\neliminate = last:0\n",
@@ -356,10 +377,10 @@ class TestCLI:
         "z0_fill = nan": small_inexact(method="z0_fill = nan\n"),
         "coupling_eps = nan": small_inexact(problem="coupling_eps = nan\n"),
         "spec_x_hi = inf": small_inexact(problem="spec_x_hi = inf\n"),
-        "t0 = nan": small_inexact(rest="[armijo]\nt0 = nan\n"),
+        "removed t0": small_inexact(rest="[armijo]\nt0 = 1.0\n"),
         "rel_grad_tol = nan": small_inexact(rest="[stop]\nrel_grad_tol = nan\n"),
         "tol_init = nan": small_inexact(rest="[inexact]\ntol_init = nan\n"),
-        "max_trials = 0": small_inexact(rest="[armijo]\nmax_trials = 0\n"),
+        "removed max_trials": small_inexact(rest="[armijo]\nmax_trials = 60\n"),
         "removed inner solver": "[inexact]\ninner = gd-fixed\n",
         "removed gd_steps": "[inexact]\ngd_steps = 5\n",
         "removed curvature_scaled_init": "[armijo]\ncurvature_scaled_init = false\n",
@@ -388,7 +409,8 @@ class TestCLI:
     def test_unwritable_output_exit_three(self, tmp_path, capsys, monkeypatch, verb, output):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "blocker").write_text("")
-        (tmp_path / "cfg.ini").write_text(SMALL_QUADRATIC + f"[output]\n{output}\n")
+        problem = SMALL_QUADRATIC if verb == "run" else "[problem]\nkind = logsumexp\nn = 60\n"
+        (tmp_path / "cfg.ini").write_text(problem + f"[output]\n{output}\n")
         n_el = ["--n-el", "5"] if verb == "sweep-table1" else []
         assert main([verb, "--config", "cfg.ini", *n_el]) == 3
         err = capsys.readouterr().err
@@ -426,25 +448,23 @@ class TestCLI:
         assert main(["run", "--config", str(path), "--method", "gd",
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_line_search_failure_exit_four(self, tmp_path):
-        path = tmp_path / "cfg.ini"
-        path.write_text("""
-[problem]
-kind = logsumexp
-n = 30
-n_el = 3
-
-[method]
-name = gd
-
-[armijo]
-t0 = 1e8
-max_trials = 1
-
-[output]
-dir = {out}
-""".format(out=tmp_path / "o"))
-        assert main(["run", "--config", str(path)]) == 4
+    def test_line_search_failure_exit_four(self, tmp_path, capsys, monkeypatch):
+        # no config key tunes the line search, so the library's parameters are
+        # patched; in the second case the one Armijo trial lands near
+        # |x| = 1e300, where J overflows to inf, and a numpy warning on the way
+        # would fail the test (pyproject.toml)
+        for method, size, t0 in [("gd", "n = 30\nn_el = 3", 1e8),
+                                 ("pgd-exact", "n = 60\nn_el = 4", 1e300)]:
+            monkeypatch.setattr(varred.optimizers, "ArmijoParams",
+                                functools.partial(ArmijoParams, t0=t0, max_trials=1))
+            out = tmp_path / method
+            path = tmp_path / "cfg.ini"
+            path.write_text(f"[problem]\nkind = logsumexp\n{size}\n[method]\nname = {method}\n"
+                            f"[output]\ndir = {out}\n")
+            assert main(["run", "--config", str(path)]) == 4, method
+            assert capsys.readouterr().err == "", method
+            assert (out / "runs.log").read_text().split("\t")[-1] == (
+                "failed: no sufficient decrease within 1 trials\n"), method
 
     @pytest.mark.parametrize("breakdown, method", [
         pytest.param(b, m, id=b if m == "gd" or b == "singular A22" else f"{b}, {m}")
@@ -548,6 +568,22 @@ dir = {out}
                    for cell in rows["gd"] + rows["pgd-inexact"])
         assert rows["pgd-exact"] == ["[failed: inner Newton stalled]"] * 2
 
+    @pytest.mark.parametrize("config", [
+        (ROOT / "configs" / "quadratic_partial.ini").read_text(),
+        "[problem]\nkind = logsumexp\nn = 60\n[method]\neliminate = last:2\n",
+        "[problem]\nkind = logsumexp\nn = 60\n[method]\nstep_mode = optimal\n",
+        "[problem]\nkind = logsumexp\nn = 60\n[output]\nhistory = mine.csv\n",
+    ], ids=["quadratic_partial.ini", "eliminate", "step_mode", "history"])
+    def test_sweep_of_a_setting_it_fixes_exit_three(self, tmp_path, capsys, monkeypatch, config):
+        # the sweep runs log-sum-exp with full elimination, the automatic step
+        # and default history names; a config that sets otherwise runs nothing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.ini").write_text(config)
+        assert main(["sweep-table1", "--config", "cfg.ini", "--n-el", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep-table1 fixes") and len(err.splitlines()) == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.ini"]
+
     @pytest.mark.parametrize("n_el", ["4,x", "4.5", ",", "4,8,4"])
     def test_bad_n_el_list_exit_three(self, tmp_path, capsys, n_el):
         path = tmp_path / "cfg.ini"
@@ -562,11 +598,10 @@ dir = {out}
         ("run", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
         ("report-condition", small_inexact(problem=f"spec_y_hi = {HUGE}\n"), 3),
         ("run", f"[problem]\nn_x = 4\nn_y = 6\n[method]\nname = pgd-exact\nz0_fill = {HUGE}\n", 4),
-        # the one Armijo trial lands near |x| = 1e300, where J overflows to inf
-        ("run", "[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
-                "[method]\nname = pgd-exact\n[armijo]\nt0 = 1e300\nmax_trials = 1\n", 4),
+        *(("run", f"[problem]\nkind = logsumexp\nn = 60\nn_el = 4\n"
+                  f"[method]\nname = {method}\nz0_fill = {HUGE}\n", 4) for method in METHODS),
     ], ids=["run overflowing spectrum", "report overflowing spectrum", "overflowing start point",
-            "line search fails on log-sum-exp"])
+            *(f"overflowing start point on log-sum-exp, {method}" for method in METHODS)])
     def test_no_numpy_warning_on_stderr(self, tmp_path, verb, config, code):
         # a process of its own, so that numpy's warnings reach stderr uncaptured
         (tmp_path / "cfg.ini").write_text(config + "[output]\ndir = out\n")

@@ -388,6 +388,11 @@ class TestScheduledInexactElimination:
             assert sched.tol_current == pytest.approx(expected)
             assert np.linalg.norm(result.restricted.linearize(result.y)[0]) <= expected
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5])
+    def test_rho_outside_the_unit_interval_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            ScheduledInexactElimination(NewtonElimination(LogSumExpProblem(20, 3)), rho=rho)
+
     def test_warm_start_updates_on_accept(self):
         # the warm start is a copy of the re-solve's y, not the y it was handed,
         # written into the buffer reset made

@@ -96,6 +96,8 @@ class TestArmijoSearch:
         with pytest.raises(ValueError):
             ArmijoParams(shrink=0.0)
         with pytest.raises(ValueError):
+            ArmijoParams(max_trials=0)
+        with pytest.raises(ValueError):
             StopRule(rel_grad_tol=0.0)
 
 
@@ -599,6 +601,18 @@ class TestObjectiveContract:
         val, g = obj.evaluate(z)
         assert obj.value(z) == val
         assert np.array_equal(obj.gradient(z), g)
+
+    def test_reduced_hessian_evaluates_nothing(self, monkeypatch):
+        # the reduced Hessian at an evaluated x, formed and applied, takes
+        # grad_yy J as an operator alone: no evaluate, so no gradient
+        obj = self.problem()
+        reduced, x = ReducedObjective(obj), np.full(obj.partition.n_x, 0.1)
+        reduced.evaluate(x)
+        calls, evaluate = [], QuarticPlusQuadratic.evaluate
+        monkeypatch.setattr(QuarticPlusQuadratic, "evaluate",
+                            lambda self, z: calls.append(z) or evaluate(self, z))
+        reduced.hessian_op(x)(np.ones(obj.partition.n_x))
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["gd", "pgd-exact", "pgd-inexact", "altmin",
                                         "newton-elim"])
